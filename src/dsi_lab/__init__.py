@@ -63,7 +63,6 @@ from .sbm_sim import (
     PathEnsemble,
     estimate_Q,
     estimate_R,
-    resolve_workers,
     sbm_covariance_exact,
     simulate_paths,
 )
@@ -124,7 +123,6 @@ __all__ = [
     "markov_covfn",
     "model_from_sbm",
     "quasi_lamperti",
-    "resolve_workers",
     "sample_points",
     "sample_time",
     "sbm_covariance_exact",

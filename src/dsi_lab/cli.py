@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import SamplingScheme, sample_points, validate_scheme
+from .core import SamplingScheme, validate_scheme
 from .errors import ConfigError, DsiLabError, ModelUnstable
 from .lamperti import StationaryGrid, inverse_quasi_lamperti, quasi_lamperti
 from .markov_cov import (
@@ -214,15 +214,16 @@ def cmd_simulate(cfg: RunConfig) -> int:
     q = cfg.scheme.q
     kappa_max = max(q, (cfg.tau_max + 1) * q - 1)
     ensemble = simulate_paths(cfg.scheme, (0, kappa_max), cfg.paths, cfg.seed)
-    lines = ["path_id,kappa,n,u,time,value"]
-    pts = sample_points(cfg.scheme, 0, kappa_max)
-    for i in range(cfg.paths):
-        row = ensemble.paths[i]
-        for p, val in zip(pts, row):
-            lines.append(
-                f"{i},{p.index.kappa},{p.index.n},{p.index.u},{_fmt(p.time)},{_fmt(val)}"
-            )
-    _write_lines(cfg.out, lines)
+    # one str.format template per run: the kappa, n, u and time fields are
+    # the same for every path; {0} is the path id, {kappa + 1} its value
+    row_format = "".join(
+        f"{{0}},{kappa},{kappa // q},{kappa % q},{t!r},{{{kappa + 1}!r}}\n"
+        for kappa, t in enumerate(ensemble.times.tolist())
+    ).format
+    with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
+        fh.write("path_id,kappa,n,u,time,value\n")
+        for i, row in enumerate(ensemble.paths.tolist()):
+            fh.write(row_format(i, *row))
     print(f"wrote {cfg.paths} paths x {kappa_max + 1} samples to {cfg.out}")
     return 0
 

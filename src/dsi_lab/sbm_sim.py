@@ -17,21 +17,23 @@ this package: the exact covariance here validates the factorized engine,
 and simulated ensembles validate both through plain moment estimators.
 
 Simulation is reproducible by construction.  Path i of a run with seed s
-draws from a counter-based Philox stream keyed by the pair (s, i), so the
-ensemble is bit-identical for any worker count and any evaluation order.
+draws from a counter-based Philox stream keyed by the pair (s, i).  Philox
+output is a pure function of key and counter, so one generator re-keyed to
+(s, i) with its counter and buffer reset yields exactly the draws of a
+freshly built one: each path depends on (s, i) alone, and adding paths to
+a run never changes the earlier ones.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import SamplingScheme, sample_points
-from .errors import BadIndex, NegativeKappa, RangeTooSmall
+from .errors import BadIndex, NegativeKappa, RangeOverflow, RangeTooSmall
 
 _SEED_BOUND = 2 ** 64
 
@@ -39,29 +41,6 @@ _SEED_BOUND = 2 ** 64
 def _band(kappa: int, q: int) -> int:
     # cycle index + 1; matches the covariance exponent convention above
     return kappa // q + 1
-
-
-def resolve_workers(workers: int | None = None) -> int:
-    """Worker count for path synthesis.
-
-    ``None`` defers to the DSI_LAB_THREADS environment variable when set
-    (0 means auto = CPU count), defaulting to 1.  Results never depend on
-    the worker count; this only caps parallelism.
-    """
-    if workers is None:
-        env = os.environ.get("DSI_LAB_THREADS")
-        if env is None:
-            return 1
-        try:
-            workers = int(env)
-        except ValueError:
-            raise BadIndex(f"DSI_LAB_THREADS must be an integer, got {env!r}")
-    workers = int(workers)
-    if workers < 0:
-        raise BadIndex(f"worker count must be >= 0, got {workers}")
-    if workers == 0:
-        return os.cpu_count() or 1
-    return workers
 
 
 @dataclass(frozen=True)
@@ -124,11 +103,19 @@ def sbm_covariance_exact(scheme: SamplingScheme, kappa1: int, kappa2: int) -> fl
     return lam ** ((b1 + b2) * hp) * min(pts[int(kappa1)], pts[int(kappa2)])
 
 
-def _path_stream(seed: int, path_index: int) -> np.random.Generator:
-    # counter-based stream keyed by the (seed, path) pair; independent
-    # streams by construction, no sequential state shared across paths
-    key = int(seed) | (int(path_index) << 64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _seed_value(seed) -> int:
+    # integral values only: 1.5 must not truncate to 1, and True is no seed
+    integral = not isinstance(seed, bool) and (
+        isinstance(seed, numbers.Integral)
+        or (
+            isinstance(seed, numbers.Real)
+            and math.isfinite(seed)
+            and float(seed).is_integer()
+        )
+    )
+    if not (integral and 0 <= int(seed) < _SEED_BOUND):
+        raise BadIndex(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+    return int(seed)
 
 
 def simulate_paths(
@@ -136,7 +123,6 @@ def simulate_paths(
     kappa_range: tuple[int, int],
     P: int,
     seed: int,
-    workers: int | None = None,
 ) -> PathEnsemble:
     """Draw P independent paths of the reference process on the flat grid.
 
@@ -149,13 +135,18 @@ def simulate_paths(
     P : int
         Number of paths, P >= 1.
     seed : int
-        64-bit ensemble seed.  Path i uses the Philox stream keyed by
-        (seed, i); the underlying Brownian motion is built from its first
-        K standard normals via the increment representation
+        64-bit ensemble seed, an integral value in [0, 2**64).  Path i
+        draws the first K standard normals of the Philox stream keyed by
+        (seed, i), i.e. ``Philox(key=seed | i << 64)``.  One generator is
+        re-keyed per path (counter 0, empty buffer), which gives exactly
+        the draws of a freshly built one.  The underlying Brownian motion
+        uses the increment representation
         B(t_k) = B(t_{k-1}) + sqrt(t_k - t_{k-1}) * z_k, B(t_0) = sqrt(t_0) * z_0.
-    workers : int or None
-        Parallel path-synthesis workers; see :func:`resolve_workers`.
-        The output is identical for every worker count.
+
+    Raises
+    ------
+    RangeOverflow
+        If a band factor or path value leaves double range.
     """
     kappa_min, kappa_max = int(kappa_range[0]), int(kappa_range[1])
     if kappa_min < 0:
@@ -164,8 +155,7 @@ def simulate_paths(
         raise BadIndex(f"empty index range [{kappa_min}, {kappa_max}]")
     if P < 1:
         raise RangeTooSmall(f"need at least one path, got P = {P}")
-    if not (0 <= int(seed) < _SEED_BOUND):
-        raise BadIndex(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+    seed = _seed_value(seed)
 
     pts = sample_points(scheme, kappa_min, kappa_max)
     times = np.array([p.time for p in pts])
@@ -173,35 +163,48 @@ def simulate_paths(
     lam = scheme.scale
     hp = scheme.H - 0.5
     bands = np.array([_band(p.index.kappa, scheme.q) for p in pts])
-    factors = lam ** (bands * hp)
     # Brownian increment scales, first one from the origin
     inc_std = np.sqrt(np.diff(times, prepend=0.0))
 
-    out = np.empty((P, K), dtype=float)
+    bitgen = np.random.Philox(key=seed)
+    gen = np.random.Generator(bitgen)
+    # the state of a new Philox(key=seed | i << 64): key words (seed, i),
+    # counter 0, empty output buffer; the setter copies it, so key[1] can
+    # be rewritten for the next path
+    key = np.array([seed, 0], dtype=np.uint64)
+    fresh = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    z = np.empty((P, K), dtype=float)
+    for i in range(P):
+        key[1] = i
+        bitgen.state = fresh
+        gen.standard_normal(out=z[i])
 
-    def fill(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            z = _path_stream(seed, i).standard_normal(K)
-            out[i] = factors * np.cumsum(inc_std * z)
-
-    n_workers = resolve_workers(workers)
-    if n_workers <= 1 or P == 1:
-        fill(0, P)
-    else:
-        n_workers = min(n_workers, P)
-        step = math.ceil(P / n_workers)
-        spans = [(lo, min(lo + step, P)) for lo in range(0, P, step)]
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            for fut in [pool.submit(fill, lo, hi) for lo, hi in spans]:
-                fut.result()
+    # in place: a temporary (P, K) array here measurably raises peak memory
+    with np.errstate(over="ignore", invalid="ignore"):
+        factors = lam ** (bands * hp)
+        z *= inc_std
+        np.cumsum(z, axis=1, out=z)
+        z *= factors
+    if not np.isfinite(z).all():
+        raise RangeOverflow(
+            f"paths over kappa in [{kappa_min}, {kappa_max}] with H = {scheme.H} "
+            "leave double precision range"
+        )
 
     return PathEnsemble(
         scheme=scheme,
         kappa_min=kappa_min,
         kappa_max=kappa_max,
         times=times,
-        paths=out,
-        seed=int(seed),
+        paths=z,
+        seed=seed,
     )
 
 

@@ -1,5 +1,6 @@
 """Command line behavior: config handling, output schemas, exit codes."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -151,6 +152,26 @@ class TestOutputs:
         assert [r[4] for r in rows[:4]] == ["1.0", "1.5", "2.0", "3.0"]
         # shortest round-trip float formatting
         assert all(repr(float(r[5])) == r[5] for r in rows)
+
+    @pytest.mark.parametrize(
+        "scheme_flags, digest",
+        [
+            ([], "883bceeb0d42321ef66b5eae36524584a7b2745c7fcdc4bc7f11432a3b6876ac"),
+            # times such as 15.299999999999999 are not dyadic
+            (
+                ["--alpha", "3", "--s", "1,1.7", "--H", "0.7"],
+                "4c056a08e3c82a9a1d8bfdba7b75d63e8e09288f21fe3e27747eabb8340abe26",
+            ),
+        ],
+        ids=["canonical", "non_dyadic_times"],
+    )
+    def test_simulate_bytes_pinned(self, tmp_path, capsys, scheme_flags, digest):
+        # frozen sha256 of the whole ensemble CSV: streams, path synthesis
+        # and row formatting must all stay bit-for-bit stable
+        out = tmp_path / "e.csv"
+        argv = ["simulate", "--paths", "50", "--tau-max", "4", "--seed", "3"]
+        assert run(argv + scheme_flags + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_spectrum_row_count_and_values(self, tmp_path):
         out = tmp_path / "density.csv"

@@ -8,13 +8,13 @@ import pytest
 from dsi_lab import (
     BadIndex,
     NegativeKappa,
+    RangeOverflow,
     RangeTooSmall,
     covariance_V,
     covariance_W,
     estimate_Q,
     estimate_R,
     model_from_sbm,
-    resolve_workers,
     sbm_covariance_exact,
     simulate_paths,
 )
@@ -95,12 +95,6 @@ class TestSimulation:
         b = simulate_paths(canonical_scheme, (0, 5), 8, 2)
         assert not np.array_equal(a.paths, b.paths)
 
-    def test_worker_count_does_not_change_output(self, canonical_scheme):
-        base = simulate_paths(canonical_scheme, (0, 7), 101, 99, workers=1)
-        for workers in (2, 3, 8):
-            other = simulate_paths(canonical_scheme, (0, 7), 101, 99, workers=workers)
-            assert np.array_equal(base.paths, other.paths)
-
     def test_prefix_property_of_path_streams(self, canonical_scheme):
         # extending the ensemble (more paths) must not disturb earlier paths,
         # and each path's values are a deterministic function of (seed, i)
@@ -158,27 +152,44 @@ class TestSimulation:
         with pytest.raises(BadIndex):
             simulate_paths(canonical_scheme, (0, 5), 4, 2 ** 64)
 
-    def test_worker_resolution_env(self, monkeypatch):
-        monkeypatch.delenv("DSI_LAB_THREADS", raising=False)
-        assert resolve_workers(None) == 1
-        monkeypatch.setenv("DSI_LAB_THREADS", "3")
-        assert resolve_workers(None) == 3
-        monkeypatch.setenv("DSI_LAB_THREADS", "0")
-        assert resolve_workers(None) >= 1
-        monkeypatch.setenv("DSI_LAB_THREADS", "zebra")
-        with pytest.raises(BadIndex):
-            resolve_workers(None)
-        assert resolve_workers(5) == 5
-        with pytest.raises(BadIndex):
-            resolve_workers(-1)
+    def test_matches_freshly_built_streams(self):
+        # re-keying one generator must reproduce, bit for bit, a new Philox
+        # built per path; odd K leaves draws in the generator's buffer, which
+        # the per-path reset must discard
+        P = 41
+        sch = make_scheme(H=0.5)  # band factors are all exactly 1
+        for seed in (0, 1, 2 ** 63 + 5, 2 ** 64 - 1):
+            for K in (1, 2, 7, 10, 33):
+                ens = simulate_paths(sch, (0, K - 1), P, seed)
+                z = np.array(
+                    [
+                        np.random.Generator(
+                            np.random.Philox(key=seed | i << 64)
+                        ).standard_normal(K)
+                        for i in range(P)
+                    ]
+                )
+                inc_std = np.sqrt(np.diff(ens.times, prepend=0.0))
+                want = np.cumsum(inc_std * z, axis=1)
+                assert np.array_equal(ens.paths, want), (seed, K)
 
-    def test_env_var_does_not_change_output(self, canonical_scheme, monkeypatch):
-        monkeypatch.delenv("DSI_LAB_THREADS", raising=False)
-        base = simulate_paths(canonical_scheme, (0, 5), 30, 8)
-        monkeypatch.setenv("DSI_LAB_THREADS", "4")
-        assert np.array_equal(
-            simulate_paths(canonical_scheme, (0, 5), 30, 8).paths, base.paths
-        )
+    def test_non_integral_seeds_rejected(self, canonical_scheme):
+        for seed in (1.5, -0.5, float("nan"), float("inf"), True, False, "3"):
+            with pytest.raises(BadIndex):
+                simulate_paths(canonical_scheme, (0, 3), 4, seed)
+        # integral values of other numeric types are the same seed
+        base = simulate_paths(canonical_scheme, (0, 3), 4, 3).paths
+        for seed in (3.0, np.uint64(3), np.int32(3)):
+            ens = simulate_paths(canonical_scheme, (0, 3), 4, seed)
+            assert ens.seed == 3 and type(ens.seed) is int
+            assert np.array_equal(ens.paths, base)
+
+    def test_overflowing_paths_raise(self):
+        # H = 3 puts band factors near lambda**(351 * 2.5) = 2**877 at kappa 700
+        with pytest.raises(RangeOverflow):
+            simulate_paths(make_scheme(H=3.0), (0, 700), 3, 0)
+        ens = simulate_paths(make_scheme(H=3.0), (0, 100), 3, 0)
+        assert np.isfinite(ens.paths).all()
 
 
 class TestEstimators:
