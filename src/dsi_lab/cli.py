@@ -9,13 +9,15 @@ Five subcommands over one flat configuration surface:
 - ``verify``: run the full cross-check suite and write a pass/fail report.
 
 Configuration comes from an optional ``key=value`` file (one pair per
-line, ``#`` comments allowed) overridden by command line flags.  All
-outputs are deterministic for a fixed configuration: floats are written
-with shortest round-trip formatting and the simulator uses counter-based
-per-path streams, so repeated runs produce byte-identical files.
+line, ``#`` comments allowed) overridden by command line flags.  Every
+data table is streamed block by block (one block per path, tau or omega)
+through one row template per table; ``verify``'s two small tables are
+written row by row.  Floats are written in shortest
+round-trip form and the simulator uses counter-based per-path streams, so
+repeated runs of one configuration produce byte-identical files.
 
 Exit codes: 0 success (verify: all checks passed), 1 verify check failed,
-2 configuration error, 3 unstable model, 4 I/O failure.
+2 configuration or domain error, 3 unstable model, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -69,10 +71,6 @@ class RunConfig:
     omega_points: int
     tol: float
     out: str
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
 
 
 def _parse_float_list(text: str, key: str) -> tuple[float, ...]:
@@ -201,9 +199,34 @@ def _build_model(cfg: RunConfig) -> MarkovCovarianceModel:
     return model_from_sbm(cfg.scheme)
 
 
+def _write_blocks(path: str, header: str, keys, prefixes: list[str], values) -> int:
+    """Stream one block of rows per key to a CSV table; return the row count.
+
+    Row r of block b is ``keys[b]``, then ``prefixes[r]`` (its fields with
+    their leading commas), then ``values[b, r, ...]`` flattened.  One
+    ``str.format`` template per table bakes the prefixes in; ``{0}`` is the
+    block key and each value slot is ``{i!r}``, the shortest round-trip float.
+    """
+    n_blocks, rows = len(values), len(prefixes)
+    width = values[0].size // rows
+    row_format = "".join(
+        f"{{0}}{prefix}" + "".join(f",{{{1 + r * width + c}!r}}" for c in range(width)) + "\n"
+        for r, prefix in enumerate(prefixes)
+    ).format
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(header + "\n")
+        for key, block in zip(keys, values.reshape(n_blocks, -1).tolist()):
+            fh.write(row_format(key, *block))
+    return n_blocks * rows
+
+
 def _write_lines(path: str, lines: list[str]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _uv_prefixes(q: int) -> list[str]:
+    return [f",{u},{v}" for u in range(q) for v in range(q)]
 
 
 def _uniform_grid(M: int) -> np.ndarray:
@@ -214,64 +237,48 @@ def cmd_simulate(cfg: RunConfig) -> int:
     q = cfg.scheme.q
     kappa_max = max(q, (cfg.tau_max + 1) * q - 1)
     ensemble = simulate_paths(cfg.scheme, (0, kappa_max), cfg.paths, cfg.seed)
-    # one str.format template per run: the kappa, n, u and time fields are
-    # the same for every path; {0} is the path id, {kappa + 1} its value
-    row_format = "".join(
-        f"{{0}},{kappa},{kappa // q},{kappa % q},{t!r},{{{kappa + 1}!r}}\n"
+    # one block per path; kappa, n, u and time are the same in every block
+    prefixes = [
+        f",{kappa},{kappa // q},{kappa % q},{t!r}"
         for kappa, t in enumerate(ensemble.times.tolist())
-    ).format
-    with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("path_id,kappa,n,u,time,value\n")
-        for i, row in enumerate(ensemble.paths.tolist()):
-            fh.write(row_format(i, *row))
+    ]
+    header = "path_id,kappa,n,u,time,value"
+    _write_blocks(cfg.out, header, range(cfg.paths), prefixes, ensemble.paths)
     print(f"wrote {cfg.paths} paths x {kappa_max + 1} samples to {cfg.out}")
     return 0
 
 
 def cmd_covariance(cfg: RunConfig) -> int:
     model = _build_model(cfg)
-    lines = ["tau,u,v,value"]
-    for tau in range(cfg.tau_max + 1):
-        mat = covariance_V(model, 0, tau).matrix
-        for u in range(cfg.scheme.q):
-            for v in range(cfg.scheme.q):
-                lines.append(f"{tau},{u},{v},{_fmt(mat[u, v])}")
-    _write_lines(cfg.out, lines)
-    print(f"wrote {len(lines) - 1} covariance entries to {cfg.out}")
+    taus = range(cfg.tau_max + 1)
+    mats = np.stack([covariance_V(model, 0, tau).matrix for tau in taus])
+    rows = _write_blocks(cfg.out, "tau,u,v,value", taus, _uv_prefixes(cfg.scheme.q), mats)
+    print(f"wrote {rows} covariance entries to {cfg.out}")
     return 0
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
     model = _build_model(cfg)
-    omegas = _uniform_grid(cfg.omega_points)
-    ev = spectral_markov(model, omegas)
-    lines = ["omega,u,v,re,im"]
-    for k, w in enumerate(ev.omegas):
-        mat = ev.matrices[k]
-        for u in range(cfg.scheme.q):
-            for v in range(cfg.scheme.q):
-                lines.append(
-                    f"{_fmt(w)},{u},{v},{_fmt(mat[u, v].real)},{_fmt(mat[u, v].imag)}"
-                )
-    _write_lines(cfg.out, lines)
-    print(f"wrote {len(lines) - 1} density entries to {cfg.out}")
+    ev = spectral_markov(model, _uniform_grid(cfg.omega_points))
+    # each omega is formatted once per block, not once per entry
+    rows = _write_blocks(
+        cfg.out, "omega,u,v,re,im", map(repr, ev.omegas.tolist()),
+        _uv_prefixes(cfg.scheme.q), np.stack([ev.matrices.real, ev.matrices.imag], -1),
+    )
+    print(f"wrote {rows} density entries to {cfg.out}")
     return 0
 
 
 def cmd_invert(cfg: RunConfig) -> int:
     model = _build_model(cfg)
-    M = cfg.omega_points
-    ev = spectral_markov(model, _uniform_grid(M))
+    ev = spectral_markov(model, _uniform_grid(cfg.omega_points))
     rec = invert_spectrum(ev, cfg.scheme, list(range(cfg.tau_max + 1)))
-    lines = ["tau,u,v,value,imag_residue"]
-    for i, tau in enumerate(rec.taus):
-        for u in range(cfg.scheme.q):
-            for v in range(cfg.scheme.q):
-                lines.append(
-                    f"{tau},{u},{v},{_fmt(rec.matrices[i][u, v])},{_fmt(rec.imag_residue)}"
-                )
-    _write_lines(cfg.out, lines)
-    print(f"wrote {len(lines) - 1} recovered entries to {cfg.out}")
+    residue = np.full_like(rec.matrices, rec.imag_residue)
+    rows = _write_blocks(
+        cfg.out, "tau,u,v,value,imag_residue", rec.taus,
+        _uv_prefixes(cfg.scheme.q), np.stack([rec.matrices, residue], -1),
+    )
+    print(f"wrote {rows} recovered entries to {cfg.out}")
     return 0
 
 
@@ -293,7 +300,6 @@ def _rel_err(got: float, want: float) -> float:
 
 def _verify_checks(cfg: RunConfig):
     checks: list[_Check] = []
-    estimates_rows: list[str] = []
     scheme = cfg.scheme
 
     # factorized covariance against the exact reference closed form
@@ -382,15 +388,13 @@ def _verify_checks(cfg: RunConfig):
     ensemble = simulate_paths(scheme, (0, kappa_max), cfg.paths, cfg.seed)
     r0_hat, r1_hat = estimate_R(ensemble)
     worst_z = 0.0
+    estimates_rows: list[str] = []
     for j in range(q):
         for lag, est in ((0, r0_hat[j]), (1, r1_hat[j])):
             analytic = covariance_W(model, j, lag)
             z = (est.value - analytic) / est.std_error
             worst_z = max(worst_z, abs(z))
-            estimates_rows.append(
-                f"{j},{lag},{_fmt(est.value)},{_fmt(est.std_error)},"
-                f"{_fmt(analytic)},{_fmt(z)}"
-            )
+            estimates_rows.append(f"{j},{lag},{est.value!r},{est.std_error!r},{analytic!r},{z!r}")
     checks.append(_Check("monte_carlo_moments_zmax", worst_z, 0.0, 3.0))
 
     return checks, estimates_rows
@@ -408,15 +412,11 @@ def cmd_verify(cfg: RunConfig) -> int:
     lines = ["check_name,status,observed,expected,tolerance"]
     for c in checks:
         status = "PASS" if c.passed else "FAIL"
-        lines.append(
-            f"{c.name},{status},{_fmt(c.observed)},{_fmt(c.expected)},{_fmt(c.tolerance)}"
-        )
+        lines.append(f"{c.name},{status},{float(c.observed)!r},{c.expected!r},{c.tolerance!r}")
         print(f"{status:4s} {c.name}: observed {c.observed:.3e} (tol {c.tolerance:.1e})")
     _write_lines(cfg.out, lines)
     est_path = _estimates_path(cfg.out)
-    _write_lines(
-        est_path, ["j_or_uv,lag,estimate,std_error,analytic,z_score"] + estimates_rows
-    )
+    _write_lines(est_path, ["j_or_uv,lag,estimate,std_error,analytic,z_score"] + estimates_rows)
     n_fail = sum(not c.passed for c in checks)
     print(f"report: {cfg.out}; estimates: {est_path}")
     if n_fail:

@@ -18,8 +18,9 @@ kappa = -1 with q = 3 lives in cycle n = -1 at offset u = 2.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     BadBase,
@@ -29,8 +30,28 @@ from .errors import (
     RangeOverflow,
 )
 
-# double precision overflows just above exp(709); stay inside the normal range
-_MAX_LOG = 709.0
+# natural log of the largest finite double, about 709.78
+_MAX_LOG = math.log(sys.float_info.max)
+
+
+def log_abs(x: float) -> float:
+    """Natural log of |x|, with -inf standing for zero."""
+    return math.log(abs(x)) if x else -math.inf
+
+
+def check_log_range(log_values: Iterable[float], what: str) -> None:
+    """Raise RangeOverflow unless every value a computation forms is finite.
+
+    log_values are the natural logs of the magnitudes of the values the
+    computation forms, in evaluation order: each power on its own, then each
+    partial product.  A NaN log (an input that already overflowed) also
+    raises.
+    """
+    for x in log_values:
+        if not x <= _MAX_LOG:
+            raise RangeOverflow(
+                f"{what} has log magnitude {x:.1f}, outside double precision"
+            )
 
 
 @dataclass(frozen=True)
@@ -149,8 +170,9 @@ class SamplePoint:
 def sample_time(scheme: SamplingScheme, kappa: int) -> float:
     """Physical time of sample kappa, t = alpha**(n*T) * s_u.
 
-    Raises RangeOverflow when the magnitude leaves the normal double range
-    (|log t| > ~709), which would silently overflow or flush to zero.
+    Raises RangeOverflow when |log t| exceeds the log of the largest finite
+    double (about 709.78), where t would silently overflow or flush towards
+    zero.
     """
     n, u = split_index(kappa, scheme.q)
     log_t = n * scheme.T * math.log(scheme.alpha) + math.log(scheme.s[u])

@@ -23,10 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SamplingScheme, sample_points
-from .errors import BadBase, BadIndex, NonPositivePoint, RangeOverflow
-
-_MAX_LOG = 709.0
+from .core import SamplingScheme, check_log_range, sample_points
+from .errors import BadBase, BadIndex, NonPositivePoint
 
 
 def _as_float_vector(x, name: str) -> np.ndarray:
@@ -104,11 +102,8 @@ def quasi_lamperti(y: StationaryGrid, H: float, alpha: float) -> SelfSimilarGrid
     _check_transform_params(H, alpha)
     log_alpha = math.log(alpha)
     if y.times.size:
-        worst = np.max(np.abs(y.times)) * log_alpha * max(1.0, H)
-        if worst > _MAX_LOG:
-            raise RangeOverflow(
-                f"alpha**(H*t) exceeds double range (log magnitude {worst:.1f})"
-            )
+        worst = float(np.max(np.abs(y.times))) * log_alpha * max(1.0, H)
+        check_log_range([worst], "alpha**(H*t)")
     points = alpha ** y.times
     values = points ** H * y.values
     return SelfSimilarGrid(points=points, values=values)

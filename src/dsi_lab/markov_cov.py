@@ -34,13 +34,14 @@ assumptions beyond finite variances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import SamplingScheme, split_index
-from .errors import InvalidModel, ModelUnstable, NegativeKappa
+from .core import SamplingScheme, check_log_range, log_abs, split_index
+from .errors import BadIndex, InvalidModel, ModelUnstable, NegativeKappa
 
 # relative slack for the Cauchy-Schwarz admissibility check
 _CS_SLACK = 1e-12
@@ -159,12 +160,18 @@ def _f_tilde_ratio(model: MarkovCovarianceModel, a: int, b: int) -> float:
     )
 
 
+def _log_pow(x: float, k: int) -> float:
+    # log |x**k|; x**0 is 1 even when x has underflowed to zero
+    return k * log_abs(x) if k else 0.0
+
+
 def covariance_W(model: MarkovCovarianceModel, kappa: int, tau: int) -> float:
     """Covariance R_kappa(tau) = E[W(kappa + tau) W(kappa)] of the flat sequence.
 
     Both sample indices must be >= 0 (kappa and kappa + tau), otherwise
     NegativeKappa is raised.  Negative lags are evaluated through the
-    symmetry R_kappa(-tau) = R_{kappa - tau}(tau).
+    symmetry R_kappa(-tau) = R_{kappa - tau}(tau).  RangeOverflow is raised
+    when a power, a partial product or the result leaves double range.
     """
     kappa = int(kappa)
     tau = int(tau)
@@ -179,10 +186,19 @@ def covariance_W(model: MarkovCovarianceModel, kappa: int, tau: int) -> float:
     scheme = model.scheme
     t, s = divmod(tau, scheme.q)
     n, u = split_index(kappa, scheme.q)
-    var = scheme.alpha ** (2 * n * scheme.T * scheme.H) * model.R0[u]
-    return float(
-        model.ftilde_q ** t * _f_tilde_ratio(model, kappa + s - 1, kappa - 1) * var
+    ratio = _f_tilde_ratio(model, kappa + s - 1, kappa - 1)
+    ladder = 2 * n * scheme.T * scheme.H
+    # logs of ftilde**t, ftilde**t * ratio, alpha**ladder, var and the result
+    log_power = _log_pow(model.ftilde_q, t)
+    log_head = log_power + log_abs(ratio)
+    log_ladder = ladder * math.log(scheme.alpha)
+    log_var = log_ladder + math.log(model.R0[u])
+    check_log_range(
+        (log_power, log_head, log_ladder, log_var, log_head + log_var),
+        f"covariance_W(kappa={kappa}, tau={tau})",
     )
+    var = scheme.alpha ** ladder * model.R0[u]
+    return float(model.ftilde_q ** t * ratio * var)
 
 
 @dataclass(frozen=True)
@@ -208,18 +224,30 @@ def covariance_V(
     with C[u, v] = ftilde(u-1) / ftilde(v-1), which holds entrywise for
     tau >= 1 and on the lower triangle u >= v at tau = 0; the strict upper
     triangle at tau = 0 is the symmetric mirror.  The result therefore always
-    equals the entrywise assembly from :func:`covariance_W`.
+    equals the entrywise assembly from :func:`covariance_W`.  A negative tau
+    raises BadIndex; a power, partial product or result outside double range
+    raises RangeOverflow.
     """
     if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
+        raise BadIndex(f"tau must be >= 0, got {tau}")
     scheme = model.scheme
     q = scheme.q
     pref = model._prefix[:q]
-    base = model.ftilde_q ** tau * np.outer(pref, model.R0 / pref)
+    outer = np.outer(pref, model.R0 / pref)
+    ladder = 2 * n * scheme.T * scheme.H
+    # logs of ftilde**tau, the largest entry of base, alpha**ladder and the result
+    log_power = _log_pow(model.ftilde_q, tau)
+    log_base = log_power + log_abs(float(np.max(np.abs(outer))))
+    log_scale = ladder * math.log(scheme.alpha)
+    check_log_range(
+        (log_power, log_base, log_scale, log_scale + log_base),
+        f"covariance_V(n={n}, tau={tau})",
+    )
+    base = model.ftilde_q ** tau * outer
     if tau == 0:
         iu, jv = np.triu_indices(q, k=1)
         base[iu, jv] = base[jv, iu]
-    scale = scheme.alpha ** (2 * n * scheme.T * scheme.H)
+    scale = scheme.alpha ** ladder
     return CovarianceMatrixResult(n=int(n), tau=int(tau), matrix=scale * base)
 
 

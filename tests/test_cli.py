@@ -14,6 +14,10 @@ def run(argv):
     return main(argv)
 
 
+# a q = 3 scheme whose times and densities are not dyadic
+Q3_FLAGS = ["--alpha", "3", "--s", "1,1.7,2.2", "--H", "0.7"]
+
+
 def read_rows(path):
     lines = path.read_text().strip().split("\n")
     header = lines[0].split(",")
@@ -131,6 +135,13 @@ class TestExitCodes:
         assert run(["spectrum", "--config", str(cfg),
                     "--out", str(tmp_path / "s.csv")]) == 2
 
+    def test_covariance_overflow_exit_two(self, tmp_path, capsys):
+        # ftilde(q-1)**tau leaves double range long before tau = 100000
+        out = tmp_path / "c.csv"
+        assert run(["covariance", "--tau-max", "100000", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: RangeOverflow: ")
+        assert not out.exists()
+
     def test_unwritable_output_exit_four(self, tmp_path, capsys):
         out = tmp_path / "no" / "such" / "dir" / "x.csv"
         assert run(["covariance", "--out", str(out)]) == 4
@@ -172,6 +183,60 @@ class TestOutputs:
         argv = ["simulate", "--paths", "50", "--tau-max", "4", "--seed", "3"]
         assert run(argv + scheme_flags + ["--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["covariance", "--tau-max", "6"],
+                "5ee827d0ebf234cb66ea78c65781a94b113783bc21df4ffdd83210b306115241",
+            ),
+            # the omega = 0 rows carry -0.0 imaginary parts
+            (
+                ["spectrum", "--omega-points", "64"],
+                "a78ff81ebb738a281ba758d94bed74c3eacdaa7e72f819c9385c94463903d734",
+            ),
+            (
+                ["invert", "--omega-points", "512", "--tau-max", "8"],
+                "b2ac84f5e0f7ca7ad28b16175a98533d46bab83184e76a212880dc18ea91bcec",
+            ),
+            (
+                ["covariance", "--tau-max", "6", *Q3_FLAGS],
+                "97a9d966fe94a9958299f2dad4150c5ca5d6ead546a0b89e7a70b2649bd5a1e6",
+            ),
+            (
+                ["spectrum", "--omega-points", "64", *Q3_FLAGS],
+                "0944b60713b61b9941bb72c973f77aadc27ce20e6a141008300fb97da6add1c1",
+            ),
+            (
+                ["invert", "--omega-points", "512", "--tau-max", "8", *Q3_FLAGS],
+                "1907f511aa38f46b80dae776ef5f7eb49addd054e020bb7f9a2ed92c7ef354a4",
+            ),
+        ],
+        ids=[
+            "covariance", "spectrum", "invert",
+            "covariance_q3", "spectrum_q3", "invert_q3",
+        ],
+    )
+    def test_table_bytes_pinned(self, tmp_path, capsys, argv, digest):
+        # frozen sha256 of the whole table: values and row formatting must
+        # stay bit-for-bit stable
+        out = tmp_path / "t.csv"
+        assert run(argv + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_model_file_spectrum_bytes_pinned(self, tmp_path, capsys):
+        cfg = tmp_path / "custom.cfg"
+        cfg.write_text(
+            "H = 0.8\nalpha = 1.9\nT = 1\ns = 1.0,1.4\n"
+            "R0 = 2.0,1.0\nR1 = 0.7,-0.4\n"
+        )
+        out = tmp_path / "cs.csv"
+        assert run(["spectrum", "--config", str(cfg), "--omega-points", "64",
+                    "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "73366c55ae738505dff5b9aaf10ef6be886cb599b1bb85681ae7030d20519be3"
+        )
 
     def test_spectrum_row_count_and_values(self, tmp_path):
         out = tmp_path / "density.csv"

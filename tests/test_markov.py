@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsi_lab import (
+    BadIndex,
     InvalidModel,
     MarkovCovarianceModel,
     ModelUnstable,
     NegativeKappa,
+    RangeOverflow,
     covariance_V,
     covariance_W,
     doob_factorization,
@@ -211,6 +213,18 @@ class TestCovarianceW:
         with pytest.raises(NegativeKappa):
             covariance_W(canonical_model, 1, -2)
 
+    def test_overflow_raises_range_overflow(self, canonical_model):
+        # cycle n = 511: variance 2**1022 * R0[0] = 2**1023 is the largest
+        # power of two below the double limit
+        assert covariance_W(canonical_model, 1022, 0) == 2.0 ** 1023
+        # cycle n = 512: 2**1025 leaves double range
+        with pytest.raises(RangeOverflow):
+            covariance_W(canonical_model, 1024, 0)
+        with pytest.raises(RangeOverflow):
+            covariance_W(canonical_model, 1100, 0)
+        with pytest.raises(RangeOverflow):
+            covariance_W(canonical_model, 0, 100000)
+
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
@@ -298,8 +312,33 @@ class TestCovarianceV:
             assert np.allclose(at_zero, at_zero.T, rtol=1e-12)
 
     def test_negative_tau_rejected(self, canonical_model):
-        with pytest.raises(ValueError):
+        with pytest.raises(BadIndex):
             covariance_V(canonical_model, 0, -1)
+
+    def test_overflow_raises_range_overflow(self, canonical_model):
+        # ftilde(q-1) = sqrt(2): tau = 2000 gives 2**1000, tau = 100000 overflows
+        assert np.all(np.isfinite(covariance_V(canonical_model, 0, 2000).matrix))
+        # largest entry 2**1022 * R0[1] = 1.5 * 2**1023 is still finite
+        assert np.all(np.isfinite(covariance_V(canonical_model, 511, 0).matrix))
+        with pytest.raises(RangeOverflow):
+            covariance_V(canonical_model, 0, 100000)
+        with pytest.raises(RangeOverflow):
+            covariance_V(canonical_model, 550, 0)
+        # a tiny scale factor does not hide an overflowing lag power
+        with pytest.raises(RangeOverflow):
+            covariance_V(canonical_model, -1000, 3000)
+
+    def test_underflowed_cycle_product_is_in_range(self, canonical_scheme):
+        # ftilde(q-1) = 1e-600 underflows to zero; the covariances are finite
+        model = MarkovCovarianceModel(
+            scheme=canonical_scheme, R0=[1.0, 1.0], R1=[1e-300, 1e-300]
+        )
+        assert model.ftilde_q == 0.0
+        for tau in (0, 3):
+            assert np.all(np.isfinite(covariance_V(model, 0, tau).matrix))
+        assert covariance_V(model, 0, 0).matrix[1, 1] == pytest.approx(1.0)
+        assert covariance_W(model, 1, 0) == 1.0
+        assert covariance_W(model, 0, 5) == 0.0
 
     def test_result_carries_indices(self, canonical_model):
         res = covariance_V(canonical_model, -2, 3)

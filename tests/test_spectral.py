@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsi_lab import (
     BadInterval,
@@ -144,6 +146,19 @@ class TestClosedForms:
             diag = np.diagonal(ev.matrices, axis1=1, axis2=2)
             assert np.max(np.abs(diag.imag)) < 1e-12
             assert np.min(diag.real) > -1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+        q=st.integers(min_value=1, max_value=4),
+    )
+    def test_positive_semidefinite_everywhere(self, seed, q):
+        # a spectral density matrix is Hermitian positive semidefinite at
+        # every frequency, not only on its diagonal
+        model = random_stable_model(np.random.default_rng(seed), q)
+        g = spectral_markov(model, uniform_grid(256)).matrices
+        min_eig = np.min(np.linalg.eigvalsh(g))
+        assert min_eig >= -1e-12 * np.max(np.abs(g))
 
     def test_hermitian_everywhere(self, canonical_scheme, stable_model_factory):
         rng = np.random.default_rng(59)
