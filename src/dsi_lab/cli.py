@@ -10,11 +10,15 @@ Five subcommands over one flat configuration surface:
 
 Configuration comes from an optional ``key=value`` file (one pair per
 line, ``#`` comments allowed) overridden by command line flags.  Every
-data table is streamed block by block (one block per path, tau or omega)
+data table is formatted block by block (one block per path, tau or omega)
 through one row template per table; ``verify``'s two small tables are
-written row by row.  Floats are written in shortest
-round-trip form and the simulator uses counter-based per-path streams, so
-repeated runs of one configuration produce byte-identical files.
+written row by row.  A large table is split into contiguous parts of
+blocks, one per CPU the process may use: this process writes the first
+part while one forked worker per other part formats it into a pipe, and
+the pipes are copied into the file in part order, so the output bytes do
+not depend on the CPU count.  Floats are written in shortest round-trip
+form and the simulator uses counter-based per-path streams, so repeated
+runs of one configuration produce byte-identical files.
 
 Exit codes: 0 success (verify: all checks passed), 1 verify check failed,
 2 configuration or domain error, 3 unstable model, 4 I/O failure.
@@ -24,8 +28,11 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
+import shutil
 import sys
 from dataclasses import dataclass, replace
+from typing import BinaryIO
 
 import numpy as np
 
@@ -55,6 +62,12 @@ _DEFAULT_OUT = {
 }
 # reference grid for the inversion cross-check, fine enough for 1e-6 recovery
 _VERIFY_INVERT_M = 16384
+# every part of a table formatted on its own CPU has at least this many
+# values, so tables below twice this size never fork
+_MIN_PART_VALUES = 25_000
+# values converted and formatted per string handed to the file or pipe; this
+# bounds the Python floats and lists alive at once, and so the peak memory
+_CHUNK_VALUES = 16_384
 
 
 @dataclass(frozen=True)
@@ -199,24 +212,105 @@ def _build_model(cfg: RunConfig) -> MarkovCovarianceModel:
     return model_from_sbm(cfg.scheme)
 
 
-def _write_blocks(path: str, header: str, keys, prefixes: list[str], values) -> int:
-    """Stream one block of rows per key to a CSV table; return the row count.
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where ``os.fork`` does not exist."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    Row r of block b is ``keys[b]``, then ``prefixes[r]`` (its fields with
-    their leading commas), then ``values[b, r, ...]`` flattened.  One
+
+def _format_blocks(row_format, keys, flat, lo: int, hi: int):
+    """Yield the encoded rows of blocks lo..hi-1, about _CHUNK_VALUES values at a time.
+
+    Each key is formatted once per block, not once per row.
+    """
+    step = max(1, _CHUNK_VALUES // flat.shape[1])
+    for start in range(lo, hi, step):
+        stop = min(start + step, hi)
+        yield "".join([
+            row_format(key, *block)
+            for key, block in zip(map(repr, keys[start:stop]), flat[start:stop].tolist())
+        ]).encode()
+
+
+def _fork_part(chunks, open_pipes: list[BinaryIO]) -> tuple[int, BinaryIO]:
+    """Fork a worker that writes ``chunks`` to a pipe; return (pid, read end).
+
+    The worker holds its whole part in memory, because the parent reads the
+    pipe only after its own part, and ends with ``os._exit``: it never
+    returns into the caller, runs no ``atexit`` hooks and flushes no stdio.
+    It formats Python objects only, so no lock held by another thread of
+    the parent (numpy's BLAS pool, say) is ever taken in the worker.
+    """
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        # the worker must not outlive this block, whatever it raises
+        status = 1
+        try:
+            os.close(r)
+            for pipe in open_pipes:
+                pipe.close()
+            part = list(chunks)
+            with open(w, "wb") as pipe:
+                pipe.writelines(part)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
+def _write_blocks(path: str, header: str, keys, prefixes: list[str], values) -> int:
+    """Write one block of rows per key to a CSV table; return the row count.
+
+    Row r of block b is ``repr(keys[b])``, then ``prefixes[r]`` (its fields
+    with their leading commas), then ``values[b, r, ...]`` flattened.  One
     ``str.format`` template per table bakes the prefixes in; ``{0}`` is the
     block key and each value slot is ``{i!r}``, the shortest round-trip float.
+
+    The blocks are cut into contiguous parts, one per usable CPU with at
+    least _MIN_PART_VALUES values each, so smaller tables stay in-process.
+    This process streams part 0 to the file while one forked worker per
+    other part formats it with the same template into a pipe; the pipes are
+    then copied into the file in part order.  The bytes written do not
+    depend on the CPU count.  A worker that fails, or a failed write here,
+    raises OSError once every worker has been reaped.
     """
     n_blocks, rows = len(values), len(prefixes)
-    width = values[0].size // rows
+    flat = values.reshape(n_blocks, -1)
+    width = flat.shape[1] // rows
     row_format = "".join(
         f"{{0}}{prefix}" + "".join(f",{{{1 + r * width + c}!r}}" for c in range(width)) + "\n"
         for r, prefix in enumerate(prefixes)
     ).format
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n")
-        for key, block in zip(keys, values.reshape(n_blocks, -1).tolist()):
-            fh.write(row_format(key, *block))
+    n_parts = max(1, min(_usable_cpus(), n_blocks, values.size // _MIN_PART_VALUES))
+    bounds = [n_blocks * i // n_parts for i in range(n_parts + 1)]
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        workers: list[tuple[int, BinaryIO]] = []
+        try:
+            for lo, hi in zip(bounds[1:-1], bounds[2:]):
+                chunks = _format_blocks(row_format, keys, flat, lo, hi)
+                workers.append(_fork_part(chunks, [pipe for _, pipe in workers]))
+            fh.writelines(_format_blocks(row_format, keys, flat, 0, bounds[1]))
+            for _, pipe in workers:
+                shutil.copyfileobj(pipe, fh)
+        finally:
+            # closing every pipe first lets a worker blocked on a full pipe exit
+            for _, pipe in workers:
+                pipe.close()
+            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in workers]
+    failed = [code for code in codes if code]
+    if failed:
+        raise OSError(f"{len(failed)} of {len(codes)} CSV workers failed (exit codes {failed})")
     return n_blocks * rows
 
 
@@ -260,9 +354,8 @@ def cmd_covariance(cfg: RunConfig) -> int:
 def cmd_spectrum(cfg: RunConfig) -> int:
     model = _build_model(cfg)
     ev = spectral_markov(model, _uniform_grid(cfg.omega_points))
-    # each omega is formatted once per block, not once per entry
     rows = _write_blocks(
-        cfg.out, "omega,u,v,re,im", map(repr, ev.omegas.tolist()),
+        cfg.out, "omega,u,v,re,im", ev.omegas.tolist(),
         _uv_prefixes(cfg.scheme.q), np.stack([ev.matrices.real, ev.matrices.imag], -1),
     )
     print(f"wrote {rows} density entries to {cfg.out}")

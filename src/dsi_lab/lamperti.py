@@ -114,8 +114,19 @@ def inverse_quasi_lamperti(x: SelfSimilarGrid, H: float, alpha: float) -> Statio
 
     Times become log_alpha(points) and values lose the power-law envelope:
     Y(t) = alpha**(-t*H) * X(alpha**t).
+
+    Raises RangeOverflow if an envelope factor points**(-H) or a rescaled
+    value leaves the double-precision range, as it does for tiny points.
     """
     _check_transform_params(H, alpha)
+    if x.points.size:
+        # logs of the largest envelope factor, at the smallest point, and
+        # of the largest rescaled value; a zero value has log -inf
+        with np.errstate(divide="ignore"):
+            log_scaled = np.log(np.abs(x.values)) - H * np.log(x.points)
+        check_log_range(
+            (-H * math.log(x.points[0]), float(np.max(log_scaled))), "points**(-H) * values"
+        )
     times = np.log(x.points) / math.log(alpha)
     values = x.points ** (-H) * x.values
     return StationaryGrid(times=times, values=values)

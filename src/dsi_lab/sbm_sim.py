@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SamplingScheme, sample_points
+from .core import SamplingScheme, check_log_range, sample_points
 from .errors import BadIndex, NegativeKappa, RangeOverflow, RangeTooSmall
 
 _SEED_BOUND = 2 ** 64
@@ -89,7 +89,9 @@ def sbm_covariance_exact(scheme: SamplingScheme, kappa1: int, kappa2: int) -> fl
     """Exact covariance E[X(t_kappa1) X(t_kappa2)] of the reference process.
 
     Closed form lambda**((b1 + b2) * H') * min(t1, t2) with band indices
-    b_i = floor(kappa_i / q) + 1.  Both indices must be >= 0.
+    b_i = floor(kappa_i / q) + 1.  Both indices must be >= 0.  RangeOverflow
+    is raised when a sample time, the band power or the result leaves
+    double range.
     """
     if kappa1 < 0 or kappa2 < 0:
         raise NegativeKappa(f"indices must be >= 0, got ({kappa1}, {kappa2})")
@@ -100,7 +102,14 @@ def sbm_covariance_exact(scheme: SamplingScheme, kappa1: int, kappa2: int) -> fl
     }
     b1 = _band(int(kappa1), scheme.q)
     b2 = _band(int(kappa2), scheme.q)
-    return lam ** ((b1 + b2) * hp) * min(pts[int(kappa1)], pts[int(kappa2)])
+    t_min = min(pts[int(kappa1)], pts[int(kappa2)])
+    # logs of the band power and the result
+    log_power = (b1 + b2) * hp * math.log(lam)
+    check_log_range(
+        (log_power, log_power + math.log(t_min)),
+        f"sbm_covariance_exact(kappa1={kappa1}, kappa2={kappa2})",
+    )
+    return lam ** ((b1 + b2) * hp) * t_min
 
 
 def _seed_value(seed) -> int:

@@ -2,11 +2,12 @@
 
 import hashlib
 import math
+import os
 
 import numpy as np
 import pytest
 
-from dsi_lab import covariance_V, model_from_sbm, validate_scheme
+from dsi_lab import cli, covariance_V, model_from_sbm, validate_scheme
 from dsi_lab.cli import main
 
 
@@ -16,6 +17,27 @@ def run(argv):
 
 # a q = 3 scheme whose times and densities are not dyadic
 Q3_FLAGS = ["--alpha", "3", "--s", "1,1.7,2.2", "--H", "0.7"]
+
+
+def set_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def assert_no_child():
+    # every forked CSV worker has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def no_fork(monkeypatch):
+    """Many CPUs, but any fork fails: the table must be written in-process."""
+
+    def fork():
+        raise AssertionError("a small table forked a CSV worker")
+
+    set_cpus(monkeypatch, 64)
+    monkeypatch.setattr(os, "fork", fork)
 
 
 def read_rows(path):
@@ -176,7 +198,7 @@ class TestOutputs:
         ],
         ids=["canonical", "non_dyadic_times"],
     )
-    def test_simulate_bytes_pinned(self, tmp_path, capsys, scheme_flags, digest):
+    def test_simulate_bytes_pinned(self, tmp_path, capsys, no_fork, scheme_flags, digest):
         # frozen sha256 of the whole ensemble CSV: streams, path synthesis
         # and row formatting must all stay bit-for-bit stable
         out = tmp_path / "e.csv"
@@ -218,14 +240,14 @@ class TestOutputs:
             "covariance_q3", "spectrum_q3", "invert_q3",
         ],
     )
-    def test_table_bytes_pinned(self, tmp_path, capsys, argv, digest):
+    def test_table_bytes_pinned(self, tmp_path, capsys, no_fork, argv, digest):
         # frozen sha256 of the whole table: values and row formatting must
         # stay bit-for-bit stable
         out = tmp_path / "t.csv"
         assert run(argv + ["--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
-    def test_model_file_spectrum_bytes_pinned(self, tmp_path, capsys):
+    def test_model_file_spectrum_bytes_pinned(self, tmp_path, capsys, no_fork):
         cfg = tmp_path / "custom.cfg"
         cfg.write_text(
             "H = 0.8\nalpha = 1.9\nT = 1\ns = 1.0,1.4\n"
@@ -276,6 +298,71 @@ class TestOutputs:
                     "--out", str(out)]) == 0
         _, rows = read_rows(out)
         assert len(rows) == 16 * 4
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="CSV workers are forked")
+class TestParallelWriter:
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["simulate", "--paths", "20000", "--tau-max", "4", "--seed", "3"],
+                "6c582e710658cdd4a6d35737b4febbeac90287392247ad037b800831ae96b970",
+            ),
+            (
+                ["spectrum", "--omega-points", "16384"],
+                "7622c559eac226096a1e3920d302e63b7d978abfad379a0f85acee06ea92cd34",
+            ),
+        ],
+        ids=["simulate", "spectrum"],
+    )
+    @pytest.mark.parametrize("cpus", [None, 1, 2, 3, 5], ids=lambda n: f"cpus{n}")
+    def test_bytes_do_not_depend_on_cpu_count(
+        self, tmp_path, capsys, monkeypatch, argv, digest, cpus
+    ):
+        # digests of the single-process writer; None keeps the real affinity
+        forks = []
+        real_fork = os.fork
+
+        def fork():
+            forks.append(None)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        if cpus is not None:
+            set_cpus(monkeypatch, cpus)
+        out = tmp_path / "t.csv"
+        assert run(argv + ["--out", str(out)]) == 0
+        assert_no_child()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        if cpus is not None:
+            assert len(forks) == cpus - 1
+
+    def test_full_device_exit_four(self, capsys, monkeypatch):
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        set_cpus(monkeypatch, 3)
+        assert run(["simulate", "--paths", "20000", "--out", "/dev/full"]) == 4
+        assert capsys.readouterr().err.startswith("error: I/O failure")
+        assert_no_child()
+
+    def test_failed_worker_exit_four(self, tmp_path, capsys, monkeypatch):
+        parent = os.getpid()
+        format_blocks = cli._format_blocks
+
+        def fail_in_worker(*args):
+            for chunk in format_blocks(*args):
+                if os.getpid() != parent:
+                    raise RuntimeError("worker fault")
+                yield chunk
+
+        monkeypatch.setattr(cli, "_format_blocks", fail_in_worker)
+        set_cpus(monkeypatch, 3)
+        out = tmp_path / "e.csv"
+        assert run(["simulate", "--paths", "20000", "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: I/O failure") and "2 of 2 CSV workers failed" in err
+        assert_no_child()
 
 
 class TestVerify:

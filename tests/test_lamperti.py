@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from dsi_lab import (
     BadBase,
     BadIndex,
+    DsiLabError,
     NonPositivePoint,
     RangeOverflow,
     SelfSimilarGrid,
@@ -81,6 +82,39 @@ class TestQuasiLamperti:
         y = StationaryGrid(times=[0.0, 1.5e3], values=[1.0, 1.0])
         with pytest.raises(RangeOverflow):
             quasi_lamperti(y, H=1.0, alpha=2.0)
+
+    def test_inverse_overflow_guard(self):
+        # 1e-320 ** -1 is about 1e320, past the largest double
+        x = SelfSimilarGrid(points=[1e-320, 1.0], values=[1.0, 1.0])
+        with pytest.raises(RangeOverflow):
+            inverse_quasi_lamperti(x, H=1.0, alpha=2.0)
+        # the envelope is in range, the rescaled value is not
+        x = SelfSimilarGrid(points=[1e-308, 1.0], values=[10.0, 1.0])
+        with pytest.raises(RangeOverflow):
+            inverse_quasi_lamperti(x, H=1.0, alpha=2.0)
+        x = SelfSimilarGrid(points=[1e-300, 1.0], values=[1.0, 1.0])
+        y = inverse_quasi_lamperti(x, H=1.0, alpha=2.0)
+        assert y.values.tolist() == pytest.approx([1e300, 1.0], rel=1e-15)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        points=st.lists(
+            st.floats(min_value=1e-320, max_value=1e300), min_size=1, max_size=8, unique=True
+        ),
+        values=st.lists(
+            st.floats(min_value=-1e300, max_value=1e300), min_size=8, max_size=8
+        ),
+        H=st.floats(min_value=0.05, max_value=3.0),
+        alpha=st.floats(min_value=1.1, max_value=8.0),
+    )
+    def test_inverse_finite_or_error(self, points, values, H, alpha):
+        points = sorted(points)
+        x = SelfSimilarGrid(points=points, values=values[: len(points)])
+        try:
+            y = inverse_quasi_lamperti(x, H, alpha)
+        except DsiLabError:
+            return
+        assert np.all(np.isfinite(y.times)) and np.all(np.isfinite(y.values))
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -68,6 +68,14 @@ class TestExactCovariance:
                     sbm_covariance_exact(sch, j + 1, j), rel=1e-12
                 )
 
+    def test_overflow_raises_range_overflow(self, canonical_scheme):
+        # value 2**(2n + 1) * s_u at kappa = 2n + u: finite up to kappa = 1023
+        assert sbm_covariance_exact(canonical_scheme, 1022, 1022) == 2.0 ** 1023
+        assert sbm_covariance_exact(canonical_scheme, 1023, 1023) == 1.5 * 2.0 ** 1023
+        for kappa in (1024, 1100):
+            with pytest.raises(RangeOverflow):
+                sbm_covariance_exact(canonical_scheme, kappa, kappa)
+
     def test_negative_index_rejected(self, canonical_scheme):
         with pytest.raises(NegativeKappa):
             sbm_covariance_exact(canonical_scheme, -1, 0)
