@@ -15,8 +15,7 @@ command line front end (``dsi-lab``).
 """
 
 from .core import (
-    EmbeddedIndex,
-    SamplePoint,
+    SampleGrid,
     SamplingScheme,
     embed_index,
     sample_points,
@@ -72,7 +71,6 @@ from .spectral import (
     SpectralEvaluation,
     invert_spectrum,
     markov_covfn,
-    sbm_covfn,
     spectral_distribution_interval,
     spectral_markov,
     spectral_sbm,
@@ -89,7 +87,6 @@ __all__ = [
     "CovarianceMatrixResult",
     "CovarianceRecovery",
     "DsiLabError",
-    "EmbeddedIndex",
     "EstimateWithError",
     "GridTooCoarse",
     "InvalidModel",
@@ -103,7 +100,7 @@ __all__ = [
     "PathEnsemble",
     "RangeOverflow",
     "RangeTooSmall",
-    "SamplePoint",
+    "SampleGrid",
     "SamplingScheme",
     "SelfSimilarGrid",
     "SeriesMeta",
@@ -126,7 +123,6 @@ __all__ = [
     "sample_points",
     "sample_time",
     "sbm_covariance_exact",
-    "sbm_covfn",
     "simulate_paths",
     "spectral_distribution_interval",
     "spectral_markov",

@@ -45,7 +45,7 @@ from .markov_cov import (
     covariance_W,
     model_from_sbm,
 )
-from .sbm_sim import estimate_R, sbm_covariance_exact, simulate_paths
+from .sbm_sim import PathEnsemble, estimate_R, sbm_covariance_exact, simulate_paths
 from .spectral import invert_spectrum, markov_covfn, spectral_markov, spectral_sbm, spectral_series
 
 _COMMANDS = ("simulate", "covariance", "spectrum", "invert", "verify")
@@ -327,10 +327,16 @@ def _uniform_grid(M: int) -> np.ndarray:
     return np.arange(M) * (2.0 * math.pi / M)
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
+def _simulate(cfg: RunConfig) -> PathEnsemble:
+    # flat indices 0..(tau_max + 1)*q - 1, and at least 0..q for estimate_R
     q = cfg.scheme.q
     kappa_max = max(q, (cfg.tau_max + 1) * q - 1)
-    ensemble = simulate_paths(cfg.scheme, (0, kappa_max), cfg.paths, cfg.seed)
+    return simulate_paths(cfg.scheme, (0, kappa_max), cfg.paths, cfg.seed)
+
+
+def cmd_simulate(cfg: RunConfig) -> int:
+    q = cfg.scheme.q
+    ensemble = _simulate(cfg)
     # one block per path; kappa, n, u and time are the same in every block
     prefixes = [
         f",{kappa},{kappa // q},{kappa % q},{t!r}"
@@ -338,7 +344,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     ]
     header = "path_id,kappa,n,u,time,value"
     _write_blocks(cfg.out, header, range(cfg.paths), prefixes, ensemble.paths)
-    print(f"wrote {cfg.paths} paths x {kappa_max + 1} samples to {cfg.out}")
+    print(f"wrote {cfg.paths} paths x {ensemble.times.size} samples to {cfg.out}")
     return 0
 
 
@@ -477,8 +483,7 @@ def _verify_checks(cfg: RunConfig):
 
     # Monte Carlo moments within three standard errors
     q = scheme.q
-    kappa_max = max(q, (cfg.tau_max + 1) * q - 1)
-    ensemble = simulate_paths(scheme, (0, kappa_max), cfg.paths, cfg.seed)
+    ensemble = _simulate(cfg)
     r0_hat, r1_hat = estimate_R(ensemble)
     worst_z = 0.0
     estimates_rows: list[str] = []

@@ -10,6 +10,8 @@ cycle ``[1, alpha**T)``.  Cycle ``n`` (any integer) contains the points
 enumerates all points in time order.  This module owns the index algebra
 (splitting kappa into the cycle/offset pair and back) and the physical
 time of each sample, plus validation of the scheme parameters.
+:func:`sample_points` returns a whole index range as one
+:class:`SampleGrid` of parallel arrays ``(kappa, n, u, times)``.
 
 Floor division defines the split for negative kappa as well, so e.g.
 kappa = -1 with q = 3 lives in cycle n = -1 at offset u = 2.
@@ -21,6 +23,8 @@ import math
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import (
     BadBase,
@@ -151,20 +155,18 @@ def embed_index(n: int, u: int, q: int) -> int:
 
 
 @dataclass(frozen=True)
-class EmbeddedIndex:
-    """Flat index kappa together with its split (n, u), kappa = n*q + u."""
+class SampleGrid:
+    """Sample points as parallel arrays, in time order.
 
-    kappa: int
-    n: int
-    u: int
+    Entry i is the sample kappa[i] = n[i]*q + u[i], 0 <= u[i] < q, at
+    physical time times[i] = alpha**(n[i]*T) * s[u[i]].  kappa, n and u
+    are integer arrays and times is float64; all are treated as immutable.
+    """
 
-
-@dataclass(frozen=True)
-class SamplePoint:
-    """One sampling location: its index triple and physical time."""
-
-    index: EmbeddedIndex
-    time: float
+    kappa: np.ndarray
+    n: np.ndarray
+    u: np.ndarray
+    times: np.ndarray
 
 
 def sample_time(scheme: SamplingScheme, kappa: int) -> float:
@@ -176,29 +178,27 @@ def sample_time(scheme: SamplingScheme, kappa: int) -> float:
     """
     n, u = split_index(kappa, scheme.q)
     log_t = n * scheme.T * math.log(scheme.alpha) + math.log(scheme.s[u])
-    if abs(log_t) > _MAX_LOG:
-        raise RangeOverflow(
-            f"sample time for kappa = {kappa} has log magnitude {log_t:.1f}, "
-            f"outside double precision"
-        )
+    check_log_range((log_t, -log_t), f"sample time for kappa = {kappa}")
     return scheme.alpha ** (n * scheme.T) * scheme.s[u]
 
 
-def sample_points(
-    scheme: SamplingScheme, kappa_min: int, kappa_max: int
-) -> list[SamplePoint]:
+def sample_points(scheme: SamplingScheme, kappa_min: int, kappa_max: int) -> SampleGrid:
     """All sample points for kappa in [kappa_min, kappa_max], time-ordered.
 
     Times strictly increase with kappa, and one full cycle advances time by
-    exactly the cycle factor: t(kappa + q) = alpha**T * t(kappa).
+    exactly the cycle factor: t(kappa + q) = alpha**T * t(kappa).  Each
+    time is the float :func:`sample_time` returns, bit for bit.
     """
     if kappa_max < kappa_min:
-        raise BadIndex(
-            f"empty index range [{kappa_min}, {kappa_max}]"
-        )
-    points = []
-    for kappa in range(kappa_min, kappa_max + 1):
-        n, u = split_index(kappa, scheme.q)
-        t = sample_time(scheme, kappa)
-        points.append(SamplePoint(index=EmbeddedIndex(kappa=kappa, n=n, u=u), time=t))
-    return points
+        raise BadIndex(f"empty index range [{kappa_min}, {kappa_max}]")
+    # times increase with kappa, so the end samples bound every log time
+    sample_time(scheme, kappa_min)
+    sample_time(scheme, kappa_max)
+    kappa = np.arange(kappa_min, kappa_max + 1)
+    n, u = np.divmod(kappa, scheme.q)
+    # one Python float ** int per cycle, as in sample_time: numpy's
+    # vectorised power can differ from it in the last bit
+    cycles = range(kappa_min // scheme.q, kappa_max // scheme.q + 1)
+    cycle_scale = np.array([scheme.alpha ** (m * scheme.T) for m in cycles])
+    times = cycle_scale[n - cycles.start] * np.array(scheme.s)[u]
+    return SampleGrid(kappa=kappa, n=n, u=u, times=times)

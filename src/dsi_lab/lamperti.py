@@ -96,14 +96,18 @@ def quasi_lamperti(y: StationaryGrid, H: float, alpha: float) -> SelfSimilarGrid
     Points become alpha**times and values pick up the envelope
     (alpha**times)**H, i.e. X(alpha**t) = alpha**(t*H) * Y(t).
 
-    Raises RangeOverflow if any point or envelope factor leaves the normal
-    double-precision range.
+    Raises RangeOverflow if a point, an envelope factor or a rescaled value
+    leaves the double-precision range.
     """
     _check_transform_params(H, alpha)
     log_alpha = math.log(alpha)
     if y.times.size:
+        # logs of the largest point or envelope factor and of the largest
+        # rescaled value; a zero value has log -inf
         worst = float(np.max(np.abs(y.times))) * log_alpha * max(1.0, H)
-        check_log_range([worst], "alpha**(H*t)")
+        with np.errstate(divide="ignore"):
+            log_scaled = np.log(np.abs(y.values)) + H * log_alpha * y.times
+        check_log_range((worst, float(np.max(log_scaled))), "alpha**(H*t) * values")
     points = alpha ** y.times
     values = points ** H * y.values
     return SelfSimilarGrid(points=points, values=values)
@@ -147,10 +151,9 @@ def embedded_to_stationary(
     vals = _as_float_vector(values, "values")
     if vals.size == 0:
         raise BadIndex("values must be non-empty")
-    pts = sample_points(scheme, kappa_start, kappa_start + vals.size - 1)
+    grid = sample_points(scheme, kappa_start, kappa_start + vals.size - 1)
     log_alpha = math.log(scheme.alpha)
-    times = np.array(
-        [p.index.n * scheme.T + math.log(scheme.s[p.index.u]) / log_alpha for p in pts]
-    )
-    envelope = np.array([p.time for p in pts]) ** (-scheme.H)
+    phase = np.array([math.log(s_u) / log_alpha for s_u in scheme.s])
+    times = grid.n * scheme.T + phase[grid.u]
+    envelope = grid.times ** (-scheme.H)
     return StationaryGrid(times=times, values=envelope * vals)

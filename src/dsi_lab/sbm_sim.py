@@ -32,15 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SamplingScheme, check_log_range, sample_points
+from .core import SamplingScheme, check_log_range, sample_points, sample_time
 from .errors import BadIndex, NegativeKappa, RangeOverflow, RangeTooSmall
 
 _SEED_BOUND = 2 ** 64
-
-
-def _band(kappa: int, q: int) -> int:
-    # cycle index + 1; matches the covariance exponent convention above
-    return kappa // q + 1
 
 
 @dataclass(frozen=True)
@@ -97,19 +92,15 @@ def sbm_covariance_exact(scheme: SamplingScheme, kappa1: int, kappa2: int) -> fl
         raise NegativeKappa(f"indices must be >= 0, got ({kappa1}, {kappa2})")
     lam = scheme.scale
     hp = scheme.H - 0.5
-    pts = {
-        k: sample_points(scheme, k, k)[0].time for k in {int(kappa1), int(kappa2)}
-    }
-    b1 = _band(int(kappa1), scheme.q)
-    b2 = _band(int(kappa2), scheme.q)
-    t_min = min(pts[int(kappa1)], pts[int(kappa2)])
+    t_min = min(sample_time(scheme, kappa1), sample_time(scheme, kappa2))
+    bands = int(kappa1) // scheme.q + int(kappa2) // scheme.q + 2
     # logs of the band power and the result
-    log_power = (b1 + b2) * hp * math.log(lam)
+    log_power = bands * hp * math.log(lam)
     check_log_range(
         (log_power, log_power + math.log(t_min)),
         f"sbm_covariance_exact(kappa1={kappa1}, kappa2={kappa2})",
     )
-    return lam ** ((b1 + b2) * hp) * t_min
+    return lam ** (bands * hp) * t_min
 
 
 def _seed_value(seed) -> int:
@@ -166,12 +157,13 @@ def simulate_paths(
         raise RangeTooSmall(f"need at least one path, got P = {P}")
     seed = _seed_value(seed)
 
-    pts = sample_points(scheme, kappa_min, kappa_max)
-    times = np.array([p.time for p in pts])
+    grid = sample_points(scheme, kappa_min, kappa_max)
+    times = grid.times
     K = times.size
     lam = scheme.scale
     hp = scheme.H - 0.5
-    bands = np.array([_band(p.index.kappa, scheme.q) for p in pts])
+    # band b = n + 1, as in the covariance exponent above
+    bands = grid.n + 1
     # Brownian increment scales, first one from the origin
     inc_std = np.sqrt(np.diff(times, prepend=0.0))
 

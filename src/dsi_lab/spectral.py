@@ -50,7 +50,7 @@ from .errors import (
     ModelUnstable,
     ToleranceUnreachable,
 )
-from .markov_cov import MarkovCovarianceModel, covariance_V, model_from_sbm
+from .markov_cov import MarkovCovarianceModel, covariance_V
 
 _TWO_PI = 2.0 * math.pi
 
@@ -126,10 +126,10 @@ def spectral_series(
         the geometric tail bound 2 * Kmax * m_N * r / (1 - r) < tol, where
         m_N is the weighted magnitude of the last summed term.
     tail_ratio : float, optional
-        Known per-lag decay ratio of the weighted terms (for a Markov model
-        this is exactly its stability ratio).  When omitted the ratio is
-        estimated conservatively from the trailing terms, which is sound
-        for eventually-geometric sequences.
+        Known per-lag decay ratio in [0, 1) of the weighted terms (for a
+        Markov model this is exactly its stability ratio).  When omitted
+        the ratio is estimated conservatively from the trailing terms,
+        which is sound for eventually-geometric sequences.
     max_terms : int
         Lag budget; exceeding it raises ToleranceUnreachable.
 
@@ -142,9 +142,9 @@ def spectral_series(
     """
     if tol <= 0.0:
         raise ToleranceUnreachable(f"tolerance must be > 0, got {tol}")
-    if tail_ratio is not None and not (0.0 < tail_ratio < 1.0):
+    if tail_ratio is not None and not (0.0 <= tail_ratio < 1.0):
         raise ModelUnstable(
-            f"tail ratio must lie in (0, 1) for a summable series, got {tail_ratio}"
+            f"tail ratio must lie in [0, 1) for a summable series, got {tail_ratio}"
         )
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     q = scheme.q
@@ -390,8 +390,3 @@ def markov_covfn(model: MarkovCovarianceModel) -> Callable[[int], np.ndarray]:
     """Block covariance callable tau -> Q(0, tau) of a Markov model, in the
     form :func:`spectral_series` consumes."""
     return lambda tau: covariance_V(model, 0, tau).matrix
-
-
-def sbm_covfn(scheme: SamplingScheme) -> Callable[[int], np.ndarray]:
-    """Block covariance callable of the banded Brownian reference process."""
-    return markov_covfn(model_from_sbm(scheme))

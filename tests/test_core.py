@@ -135,9 +135,9 @@ class TestValidateScheme:
 
 class TestSampleGeometry:
     def test_canonical_times(self, canonical_scheme):
-        pts = sample_points(canonical_scheme, 0, 3)
-        assert [p.time for p in pts] == [1.0, 1.5, 2.0, 3.0]
-        assert [(p.index.kappa, p.index.n, p.index.u) for p in pts] == [
+        grid = sample_points(canonical_scheme, 0, 3)
+        assert grid.times.tolist() == [1.0, 1.5, 2.0, 3.0]
+        assert list(zip(grid.kappa.tolist(), grid.n.tolist(), grid.u.tolist())) == [
             (0, 0, 0),
             (1, 0, 1),
             (2, 1, 0),
@@ -145,15 +145,15 @@ class TestSampleGeometry:
         ]
 
     def test_negative_cycle_times(self, canonical_scheme):
-        pts = sample_points(canonical_scheme, -2, -1)
-        assert [p.time for p in pts] == [0.5, 0.75]
+        grid = sample_points(canonical_scheme, -2, -1)
+        assert grid.times.tolist() == [0.5, 0.75]
 
     def test_times_strictly_increasing(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             sch = random_scheme(rng, int(rng.integers(1, 6)))
-            times = [p.time for p in sample_points(sch, -8, 8)]
-            assert all(b > a for a, b in zip(times, times[1:]))
+            times = sample_points(sch, -8, 8).times
+            assert np.all(np.diff(times) > 0)
 
     def test_cycle_advances_time_by_scale(self):
         rng = np.random.default_rng(11)
@@ -183,5 +183,23 @@ class TestSampleGeometry:
 
     def test_scheme_with_wide_cycle(self):
         sch = make_scheme(H=0.7, alpha=3.0, T=2, s=(1.0, 4.0, 8.5))
-        pts = sample_points(sch, 0, 5)
-        assert [p.time for p in pts] == [1.0, 4.0, 8.5, 9.0, 36.0, 76.5]
+        grid = sample_points(sch, 0, 5)
+        assert grid.times.tolist() == [1.0, 4.0, 8.5, 9.0, 36.0, 76.5]
+
+    def test_grid_matches_scalar_functions(self):
+        # bit for bit: the grid's times are the floats sample_time returns
+        rng = np.random.default_rng(23)
+        kappas = range(-40, 41)
+        for _ in range(30):
+            sch = random_scheme(rng, int(rng.integers(1, 6)))
+            grid = sample_points(sch, -40, 40)
+            assert grid.kappa.tolist() == list(kappas)
+            assert list(zip(grid.n.tolist(), grid.u.tolist())) == [
+                split_index(k, sch.q) for k in kappas
+            ]
+            assert grid.times.tolist() == [sample_time(sch, k) for k in kappas]
+
+    @pytest.mark.parametrize("kappa_range", [(0, 2100), (-2100, 0)])
+    def test_grid_range_overflow_at_either_end(self, canonical_scheme, kappa_range):
+        with pytest.raises(RangeOverflow):
+            sample_points(canonical_scheme, *kappa_range)

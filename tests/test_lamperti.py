@@ -83,6 +83,34 @@ class TestQuasiLamperti:
         with pytest.raises(RangeOverflow):
             quasi_lamperti(y, H=1.0, alpha=2.0)
 
+    def test_value_overflow_guard(self):
+        # the envelope 2**40 is in range, 2**40 * 1e300 is not
+        y = StationaryGrid(times=[0.0, 40.0], values=[1.0, 1e300])
+        with pytest.raises(RangeOverflow):
+            quasi_lamperti(y, H=1.0, alpha=2.0)
+        y = StationaryGrid(times=[0.0, 40.0], values=[0.0, 1e200])
+        x = quasi_lamperti(y, H=1.0, alpha=2.0)
+        assert x.values.tolist() == [0.0, 2.0 ** 40 * 1e200]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        times=st.lists(
+            st.floats(min_value=-200.0, max_value=200.0), min_size=1, max_size=8, unique=True
+        ),
+        values=st.lists(
+            st.floats(min_value=-1e300, max_value=1e300), min_size=8, max_size=8
+        ),
+        H=st.floats(min_value=0.05, max_value=3.0),
+        alpha=st.floats(min_value=1.1, max_value=8.0),
+    )
+    def test_forward_finite_or_error(self, times, values, H, alpha):
+        y = StationaryGrid(times=sorted(times), values=values[: len(times)])
+        try:
+            x = quasi_lamperti(y, H, alpha)
+        except DsiLabError:
+            return
+        assert np.all(np.isfinite(x.points)) and np.all(np.isfinite(x.values))
+
     def test_inverse_overflow_guard(self):
         # 1e-320 ** -1 is about 1e320, past the largest double
         x = SelfSimilarGrid(points=[1e-320, 1.0], values=[1.0, 1.0])
@@ -150,8 +178,7 @@ class TestQuasiLamperti:
 
 class TestEmbeddedToStationary:
     def test_power_law_flattens_to_constant(self, canonical_scheme):
-        pts = sample_points(canonical_scheme, 0, 3)
-        values = [p.time ** canonical_scheme.H for p in pts]
+        values = sample_points(canonical_scheme, 0, 3).times ** canonical_scheme.H
         grid = embedded_to_stationary(values, canonical_scheme)
         assert np.allclose(grid.values, 1.0, rtol=0, atol=1e-14)
         expected_times = [0.0, math.log2(1.5), 1.0, 1.0 + math.log2(1.5)]

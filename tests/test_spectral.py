@@ -273,6 +273,24 @@ class TestSeriesTruncation:
         with pytest.raises(ModelUnstable):
             spectral_series(covfn, canonical_scheme, uniform_grid(8), tol=1e-6)
 
+    def test_zero_tail_ratio_for_white_blocks(self, canonical_scheme):
+        # Q(tau) = 0 for tau >= 1: the weighted terms decay with ratio 0
+        q = canonical_scheme.q
+        Q0 = np.array([[2.0, 0.5], [0.5, 1.0]])
+
+        def covfn(tau):
+            return Q0 if tau == 0 else np.zeros((q, q))
+
+        omegas = uniform_grid(8)
+        ev = spectral_series(covfn, canonical_scheme, omegas, tol=1e-12, tail_ratio=0.0)
+        unset = spectral_series(covfn, canonical_scheme, omegas, tol=1e-12)
+        K = np.outer(canonical_scheme.s, canonical_scheme.s) ** (
+            -canonical_scheme.H
+        ) / TWO_PI
+        assert np.array_equal(ev.matrices, np.broadcast_to(K * Q0, (8, q, q)))
+        assert ev.meta == unset.meta
+        assert ev.meta.tail_bound == 0.0
+
     def test_bad_tail_ratio_rejected(self, canonical_scheme):
         model = model_from_sbm(canonical_scheme)
         with pytest.raises(ModelUnstable):
