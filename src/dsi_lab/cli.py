@@ -17,8 +17,9 @@ blocks, one per CPU the process may use: this process writes the first
 part while one forked worker per other part formats it into a pipe, and
 the pipes are copied into the file in part order, so the output bytes do
 not depend on the CPU count.  Floats are written in shortest round-trip
-form and the simulator uses counter-based per-path streams, so repeated
-runs of one configuration produce byte-identical files.
+form and the simulator draws each block of 4096 paths from one
+counter-based stream keyed by (seed, block), so repeated runs of one
+configuration produce byte-identical files.
 
 Exit codes: 0 success (verify: all checks passed), 1 verify check failed,
 2 configuration or domain error, 3 unstable model, 4 I/O failure.

@@ -48,11 +48,12 @@ def check_log_range(log_values: Iterable[float], what: str) -> None:
 
     log_values are the natural logs of the magnitudes of the values the
     computation forms, in evaluation order: each power on its own, then each
-    partial product.  A NaN log (an input that already overflowed) also
-    raises.
+    partial product.  A log that rounds to ln(DBL_MAX) itself, such as
+    1024 * ln 2, may belong to a value past the largest double, so it
+    raises too, as does a NaN log (an input that already overflowed).
     """
     for x in log_values:
-        if not x <= _MAX_LOG:
+        if not x < _MAX_LOG:
             raise RangeOverflow(
                 f"{what} has log magnitude {x:.1f}, outside double precision"
             )
@@ -75,6 +76,9 @@ class SamplingScheme:
         Number of sampling offsets per cycle, q >= 1.
     s : tuple of float
         Offsets, strictly increasing with 1 <= s[0] and s[-1] < alpha**T.
+
+    Construction raises RangeOverflow when the cycle factor alpha**T is
+    not a finite double.
     """
 
     H: float
@@ -101,6 +105,10 @@ class SamplingScheme:
                 raise NonIncreasingOffsets(
                     f"offsets must be strictly increasing, got {self.s}"
                 )
+        check_log_range(
+            (self.T * math.log(self.alpha),),
+            f"cycle scale alpha**T (alpha = {self.alpha!r}, T = {self.T})",
+        )
         if not (self.s[0] >= 1.0):
             raise OffsetOutOfRange(f"s[0] must be >= 1, got {self.s[0]!r}")
         if not (self.s[-1] < self.scale):

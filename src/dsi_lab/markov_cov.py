@@ -65,7 +65,8 @@ class MarkovCovarianceModel:
 
     Construction validates admissibility and the strict stability bound
     |ftilde(q-1)| < alpha**(T*H); on the boundary the spectral series does
-    not converge and ModelUnstable is raised.
+    not converge and ModelUnstable is raised.  A scale ladder alpha**(T*H)
+    outside double range raises RangeOverflow.
     """
 
     scheme: SamplingScheme
@@ -89,15 +90,22 @@ class MarkovCovarianceModel:
                 "one-step products R1 must be nonzero (their running product "
                 "is inverted in the covariance factorization)"
             )
-        # Cauchy-Schwarz: R1[j]**2 <= R0[j] * Var(W(j+1)); the wrap neighbour
-        # variance is alpha**(2*T*H) * R0[0].
-        scale_var = self.scheme.alpha ** (2 * self.scheme.T * self.scheme.H)
-        next_var = np.concatenate([R0[1:], [scale_var * R0[0]]])
-        bound = R0 * next_var
-        if np.any(R1 ** 2 > bound * (1.0 + _CS_SLACK)):
-            j = int(np.argmax(R1 ** 2 - bound))
+        # the scale ladder alpha**(T*H) is the standard-deviation growth per
+        # cycle; the stability ratio divides by it
+        log_growth = self.scheme.T * self.scheme.H * math.log(self.scheme.alpha)
+        check_log_range((log_growth,), "scale ladder alpha**(T*H)")
+        growth = self.scheme.alpha ** (self.scheme.T * self.scheme.H)
+        # Cauchy-Schwarz: |R1[j]| <= sqrt(R0[j] * Var(W(j+1))), in standard
+        # deviations; the wrap neighbour's is alpha**(T*H) * sqrt(R0[0]).  A
+        # bound past double range is inf, which every finite R1 meets.
+        dev = np.sqrt(R0)
+        with np.errstate(over="ignore"):
+            next_dev = np.concatenate([dev[1:], [growth * dev[0]]])
+            bound = dev * next_dev * math.sqrt(1.0 + _CS_SLACK)
+        if np.any(np.abs(R1) > bound):
+            j = int(np.argmax(np.abs(R1) / bound))
             raise InvalidModel(
-                f"R1[{j}]**2 = {float(R1[j] ** 2)!r} exceeds the Cauchy-Schwarz bound "
+                f"|R1[{j}]| = {float(abs(R1[j]))!r} exceeds the Cauchy-Schwarz bound "
                 f"{float(bound[j])!r}"
             )
         object.__setattr__(self, "R0", R0)
@@ -109,11 +117,11 @@ class MarkovCovarianceModel:
         object.__setattr__(self, "_f", f)
         object.__setattr__(self, "_prefix", prefix)
 
-        ratio = abs(prefix[q]) / self.scheme.alpha ** (self.scheme.T * self.scheme.H)
+        ratio = abs(prefix[q]) / growth
         if not ratio < 1.0:
             raise ModelUnstable(
                 f"|ftilde(q-1)| = {float(abs(prefix[q]))!r} must be strictly below "
-                f"alpha**(T*H) = {float(self.scheme.alpha ** (self.scheme.T * self.scheme.H))!r}"
+                f"alpha**(T*H) = {float(growth)!r}"
             )
         object.__setattr__(self, "_stability_ratio", float(ratio))
 
@@ -142,10 +150,16 @@ def f_tilde(model: MarkovCovarianceModel, r: int) -> float:
     Defined for every integer r via the closed form
     ftilde(m*q + v - 1) = ftilde(q-1)**m * ftilde(v-1): the empty product
     ftilde(-1) is 1, and negative r continue the periodic extension
-    (all ratios are nonzero, so the inverse powers exist).
+    (all ratios are nonzero, so the inverse powers exist).  RangeOverflow
+    is raised when the power or the result leaves double range.
     """
     q = model.scheme.q
     m, v = divmod(int(r) + 1, q)
+    # logs of ftilde(q-1)**m and the result
+    log_power = _log_pow(model._prefix[q], m)
+    check_log_range(
+        (log_power, log_power + log_abs(model._prefix[v])), f"f_tilde(r={r})"
+    )
     return float(model._prefix[q] ** m * model._prefix[v])
 
 
@@ -265,11 +279,18 @@ def model_from_sbm(scheme: SamplingScheme) -> MarkovCovarianceModel:
         R1[q-1] = lambda**(3*H') * s_{q-1}    (wrap into the next cycle)
 
     and the model is always strictly stable: |ftilde(q-1)| = lambda**H'
-    < lambda**H.
+    < lambda**H.  RangeOverflow is raised when an entry leaves double
+    range.
     """
     lam = scheme.scale
     hp = scheme.H - 0.5
     s = np.asarray(scheme.s, dtype=float)
+    # logs of the largest entries of R0 and R1 (s >= 1 bounds the powers)
+    log_band = hp * math.log(lam)
+    log_s = math.log(scheme.s[-1])
+    check_log_range(
+        (2 * log_band + log_s, 3 * log_band + log_s), "model_from_sbm summary"
+    )
     R0 = lam ** (2 * hp) * s
     R1 = R0.copy()
     R1[-1] = lam ** (3 * hp) * s[-1]

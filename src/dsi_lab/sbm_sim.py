@@ -16,12 +16,13 @@ produces, which makes it the natural ground truth for everything else in
 this package: the exact covariance here validates the factorized engine,
 and simulated ensembles validate both through plain moment estimators.
 
-Simulation is reproducible by construction.  Path i of a run with seed s
-draws from a counter-based Philox stream keyed by the pair (s, i).  Philox
-output is a pure function of key and counter, so one generator re-keyed to
-(s, i) with its counter and buffer reset yields exactly the draws of a
-freshly built one: each path depends on (s, i) alone, and adding paths to
-a run never changes the earlier ones.
+Simulation is reproducible by construction.  Paths are drawn in fixed
+blocks of 4096: block b of a run with seed s holds paths 4096*b onwards
+and draws from the counter-based Philox stream keyed by the pair (s, b),
+filling its rows of K values in row-major order.  Philox output is a pure
+function of key and counter, so path i is the K normals at positions
+(i mod 4096)*K onwards of stream (s, i // 4096): it depends on s, i and K
+alone, and adding paths to a run never changes the earlier ones.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ from .core import SamplingScheme, check_log_range, sample_points, sample_time
 from .errors import BadIndex, NegativeKappa, RangeOverflow, RangeTooSmall
 
 _SEED_BOUND = 2 ** 64
+# paths per random stream; part of the stream contract, so changing it
+# changes every path beyond the first block
+_BLOCK_PATHS = 4096
 
 
 @dataclass(frozen=True)
@@ -135,11 +139,13 @@ def simulate_paths(
     P : int
         Number of paths, P >= 1.
     seed : int
-        64-bit ensemble seed, an integral value in [0, 2**64).  Path i
-        draws the first K standard normals of the Philox stream keyed by
-        (seed, i), i.e. ``Philox(key=seed | i << 64)``.  One generator is
-        re-keyed per path (counter 0, empty buffer), which gives exactly
-        the draws of a freshly built one.  The underlying Brownian motion
+        64-bit ensemble seed, an integral value in [0, 2**64).  Paths
+        come in blocks of 4096; block b draws from one Philox stream,
+        ``Philox(key=seed | b << 64)``, with a single ``standard_normal``
+        call that fills its rows in row-major order.  Path i therefore
+        takes the K normals at positions (i mod 4096)*K onwards of stream
+        (seed, i // 4096), so its draws depend on K, and adding paths
+        never changes earlier ones.  The underlying Brownian motion
         uses the increment representation
         B(t_k) = B(t_{k-1}) + sqrt(t_k - t_{k-1}) * z_k, B(t_0) = sqrt(t_0) * z_0.
 
@@ -167,25 +173,12 @@ def simulate_paths(
     # Brownian increment scales, first one from the origin
     inc_std = np.sqrt(np.diff(times, prepend=0.0))
 
-    bitgen = np.random.Philox(key=seed)
-    gen = np.random.Generator(bitgen)
-    # the state of a new Philox(key=seed | i << 64): key words (seed, i),
-    # counter 0, empty output buffer; the setter copies it, so key[1] can
-    # be rewritten for the next path
-    key = np.array([seed, 0], dtype=np.uint64)
-    fresh = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
     z = np.empty((P, K), dtype=float)
-    for i in range(P):
-        key[1] = i
-        bitgen.state = fresh
-        gen.standard_normal(out=z[i])
+    # one stream per block of paths, keyed by (seed, block); each block's
+    # rows are filled in row-major order by a single draw
+    for b, lo in enumerate(range(0, P, _BLOCK_PATHS)):
+        gen = np.random.Generator(np.random.Philox(key=seed | b << 64))
+        gen.standard_normal(out=z[lo:lo + _BLOCK_PATHS])
 
     # in place: a temporary (P, K) array here measurably raises peak memory
     with np.errstate(over="ignore", invalid="ignore"):

@@ -43,7 +43,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import SamplingScheme
+from .core import SamplingScheme, check_log_range, log_abs
 from .errors import (
     BadInterval,
     GridTooCoarse,
@@ -96,6 +96,14 @@ class SpectralEvaluation:
         )
 
 
+def _omegas(omegas) -> np.ndarray:
+    # frequencies as a float array; NaN or infinite ones have no density
+    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+    if not np.isfinite(omegas).all():
+        raise BadInterval("frequencies must be finite")
+    return omegas
+
+
 def _prefactor(scheme: SamplingScheme) -> np.ndarray:
     s = np.asarray(scheme.s, dtype=float)
     return (np.outer(s, s)) ** (-scheme.H) / _TWO_PI
@@ -120,7 +128,7 @@ def spectral_series(
     scheme : SamplingScheme
         Supplies q, the offsets for the prefactor, and the series weight.
     omegas : array_like
-        Frequencies to evaluate at.
+        Frequencies to evaluate at, all finite.
     tol : float
         Target truncation accuracy, certified entrywise on the density via
         the geometric tail bound 2 * Kmax * m_N * r / (1 - r) < tol, where
@@ -135,6 +143,8 @@ def spectral_series(
 
     Raises
     ------
+    BadInterval
+        If a frequency is NaN or infinite.
     ModelUnstable
         If the weighted terms fail to decay (observed ratio >= 1).
     ToleranceUnreachable
@@ -146,7 +156,7 @@ def spectral_series(
         raise ModelUnstable(
             f"tail ratio must lie in [0, 1) for a summable series, got {tail_ratio}"
         )
-    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+    omegas = _omegas(omegas)
     q = scheme.q
     K = _prefactor(scheme)
     k_max = float(K.max())
@@ -242,19 +252,24 @@ def spectral_markov(model: MarkovCovarianceModel, omegas) -> SpectralEvaluation:
 
     with a = ftilde(q-1) * alpha**(-T*H), A[u, v] = C[u, v] * R0[v],
     B[u, v] = R0[u] / C[u, v], and conjugate-mirrored upper triangle.
+    Frequencies must be finite (BadInterval).  A cycle factor a so small
+    that 1/a leaves double range, including an a that underflowed to 0,
+    raises RangeOverflow.
     """
     scheme = model.scheme
     if not model.stability_ratio < 1.0:
         raise ModelUnstable(
             f"stability ratio {model.stability_ratio!r} must be < 1"
         )
-    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+    omegas = _omegas(omegas)
     q = scheme.q
     pref = model._prefix[:q]
     C = np.outer(pref, 1.0 / pref)
     A = C * model.R0[None, :]
     B = A.T  # B[u, v] = C[v, u] * R0[u]
     a = model.ftilde_q * scheme.alpha ** (-scheme.T * scheme.H)
+    # e / a below needs a finite 1/a
+    check_log_range((-log_abs(a),), "inverse cycle factor 1/a of spectral_markov")
 
     e = np.exp(-1j * omegas)
     d1 = 1.0 / (1.0 - a * e)
@@ -276,9 +291,10 @@ def spectral_sbm(scheme: SamplingScheme, omegas) -> SpectralEvaluation:
                      * ( s_v / (1 - e^{-iw} alpha**(-T/2))
                          - s_u / (1 - e^{-iw} alpha**(T/2)) ),
 
-    upper triangle conjugate-mirrored.
+    upper triangle conjugate-mirrored.  Frequencies must be finite
+    (BadInterval).
     """
-    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+    omegas = _omegas(omegas)
     s = np.asarray(scheme.s, dtype=float)
     lam = scheme.scale
     hp = scheme.H - 0.5

@@ -164,6 +164,23 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: RangeOverflow: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--T", "3000"],
+            ["covariance", "--alpha", "1e300", "--T", "2"],
+            ["simulate", "--T", "1024"],
+            ["invert", "--T", "700"],
+        ],
+        ids=["scale_T", "scale_alpha", "scale_edge", "reference_model"],
+    )
+    def test_scheme_overflow_exit_two(self, tmp_path, capsys, argv):
+        # alpha**T, or the reference model's band powers, past double range
+        out = tmp_path / "x.csv"
+        assert run(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: RangeOverflow: ")
+        assert not out.exists()
+
     def test_unwritable_output_exit_four(self, tmp_path, capsys):
         out = tmp_path / "no" / "such" / "dir" / "x.csv"
         assert run(["covariance", "--out", str(out)]) == 4
@@ -189,11 +206,11 @@ class TestOutputs:
     @pytest.mark.parametrize(
         "scheme_flags, digest",
         [
-            ([], "883bceeb0d42321ef66b5eae36524584a7b2745c7fcdc4bc7f11432a3b6876ac"),
+            ([], "99c0077f29a9835ea6cb1b9fed13a303f73e321ae9b6902fd33625e932a67c9b"),
             # times such as 15.299999999999999 are not dyadic
             (
                 ["--alpha", "3", "--s", "1,1.7", "--H", "0.7"],
-                "4c056a08e3c82a9a1d8bfdba7b75d63e8e09288f21fe3e27747eabb8340abe26",
+                "ba04678ef19fd24bf84823fe52152d7fd159e322d76cc61b553aeb1d10f27294",
             ),
         ],
         ids=["canonical", "non_dyadic_times"],
@@ -307,7 +324,7 @@ class TestParallelWriter:
         [
             (
                 ["simulate", "--paths", "20000", "--tau-max", "4", "--seed", "3"],
-                "6c582e710658cdd4a6d35737b4febbeac90287392247ad037b800831ae96b970",
+                "1b0d3adc6454ae197816ba71e29b23b2be0d8f9ac8b9b84e313a09e2c24e9237",
             ),
             (
                 ["spectrum", "--omega-points", "16384"],

@@ -132,6 +132,15 @@ class TestValidateScheme:
         with pytest.raises(BadIndex):
             validate_scheme(**base)
 
+    @pytest.mark.parametrize(
+        "alpha, T", [(2.0, 1024), (2.0, 3000), (1e300, 2)], ids=["edge", "T", "alpha"]
+    )
+    def test_cycle_scale_overflow(self, alpha, T):
+        # alpha**T past the largest double; 1024 * ln 2 rounds to ln(DBL_MAX)
+        with pytest.raises(RangeOverflow):
+            validate_scheme(H=1.0, alpha=alpha, T=T, s=(1.0, 1.5))
+        assert validate_scheme(H=1.0, alpha=2.0, T=1023, s=(1.0, 1.5)).scale == 2.0 ** 1023
+
 
 class TestSampleGeometry:
     def test_canonical_times(self, canonical_scheme):

@@ -66,6 +66,20 @@ class TestFTilde:
                 f_tilde(canonical_model, r - 1) * f[r % q], rel=1e-12
             )
 
+    def test_overflow_raises_range_overflow(self, canonical_model, canonical_scheme):
+        # ftilde(q-1) = sqrt(2), so ftilde(2m - 1) = 2**(m/2)
+        assert f_tilde(canonical_model, 4093) == pytest.approx(2.0 ** 1023.5)
+        for r in (4095, 5000):
+            with pytest.raises(RangeOverflow):
+                f_tilde(canonical_model, r)
+        # a cycle product that underflowed to 0 has no inverse powers
+        tiny = MarkovCovarianceModel(
+            scheme=canonical_scheme, R0=[1.0, 1.0], R1=[1e-300, 1e-300]
+        )
+        assert f_tilde(tiny, 1) == 0.0
+        with pytest.raises(RangeOverflow):
+            f_tilde(tiny, -3)
+
     def test_reference_model_cycle_product(self):
         for H in (0.5, 0.75, 1.0, 1.25):
             sch = make_scheme(H=H)
@@ -80,6 +94,19 @@ class TestModelConstruction:
     def test_reference_summary_values(self, canonical_model):
         assert canonical_model.R0 == pytest.approx([2.0, 3.0])
         assert canonical_model.R1 == pytest.approx([2.0, 3.0 * SQRT2])
+
+    def test_reference_summary_overflow(self):
+        # R1[q-1] = lambda**(3/2) * s[-1] = 2**1050 * 1.5 leaves double range
+        with pytest.raises(RangeOverflow):
+            model_from_sbm(make_scheme(T=700))
+        # R0[q-1] * Var(W(q)) = 1.5 * 2**2400: the admissibility bound is
+        # past double range, which the finite R1 meets
+        assert np.isfinite(model_from_sbm(make_scheme(T=600)).R1).all()
+        # alpha**(T*H) = 2**1100 is no double
+        with pytest.raises(RangeOverflow):
+            MarkovCovarianceModel(
+                scheme=make_scheme(H=5.5, T=200), R0=[1.0, 1.0], R1=[0.5, 0.5]
+            )
 
     def test_reference_summary_h_half(self):
         model = model_from_sbm(make_scheme(H=0.5))

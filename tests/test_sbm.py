@@ -105,10 +105,16 @@ class TestSimulation:
 
     def test_prefix_property_of_path_streams(self, canonical_scheme):
         # extending the ensemble (more paths) must not disturb earlier paths,
-        # and each path's values are a deterministic function of (seed, i)
+        # also across the 4096-path block boundaries
         small = simulate_paths(canonical_scheme, (0, 5), 10, 4242)
         large = simulate_paths(canonical_scheme, (0, 5), 40, 4242)
         assert np.array_equal(large.paths[:10], small.paths)
+        runs = [
+            simulate_paths(canonical_scheme, (0, 5), P, 4242).paths
+            for P in (4095, 4096, 4097, 8193)
+        ]
+        for shorter, longer in zip(runs, runs[1:]):
+            assert np.array_equal(longer[: len(shorter)], shorter)
 
     def test_stream_regression_pins(self, canonical_scheme):
         # frozen first outputs of the keyed streams; regenerate if the
@@ -128,10 +134,10 @@ class TestSimulation:
         np.testing.assert_allclose(
             ens.paths[1, :4],
             [
-                1.2259710810112783,
-                2.1615346864566494,
-                2.8298144365482263,
-                2.5496353694415888,
+                0.7490422497269823,
+                -0.3124644718521266,
+                0.16455868027681275,
+                -2.4374751424132706,
             ],
             rtol=0.0,
             atol=0.0,
@@ -161,20 +167,21 @@ class TestSimulation:
             simulate_paths(canonical_scheme, (0, 5), 4, 2 ** 64)
 
     def test_matches_freshly_built_streams(self):
-        # re-keying one generator must reproduce, bit for bit, a new Philox
-        # built per path; odd K leaves draws in the generator's buffer, which
-        # the per-path reset must discard
-        P = 41
+        # block b of 4096 paths is one fresh Philox keyed by (seed, b), its
+        # rows filled in row-major order; P spans three blocks, the last
+        # one partial, and most paths start part-way through one of
+        # Philox's four-word output blocks
+        P = 2 * 4096 + 41
         sch = make_scheme(H=0.5)  # band factors are all exactly 1
         for seed in (0, 1, 2 ** 63 + 5, 2 ** 64 - 1):
             for K in (1, 2, 7, 10, 33):
                 ens = simulate_paths(sch, (0, K - 1), P, seed)
-                z = np.array(
+                z = np.concatenate(
                     [
                         np.random.Generator(
-                            np.random.Philox(key=seed | i << 64)
-                        ).standard_normal(K)
-                        for i in range(P)
+                            np.random.Philox(key=seed | b << 64)
+                        ).standard_normal((min(P - lo, 4096), K))
+                        for b, lo in enumerate(range(0, P, 4096))
                     ]
                 )
                 inc_std = np.sqrt(np.diff(ens.times, prepend=0.0))

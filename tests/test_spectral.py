@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from dsi_lab import (
     BadInterval,
     GridTooCoarse,
+    MarkovCovarianceModel,
     ModelUnstable,
+    RangeOverflow,
     SpectralEvaluation,
     ToleranceUnreachable,
     covariance_V,
@@ -422,6 +424,37 @@ class TestDistributionInterval:
     def test_even_length_coefficients_rejected(self):
         with pytest.raises(BadInterval):
             spectral_distribution_interval(np.ones(4), 0.0, 1.0)
+
+
+class TestFrequencyAndRangeGuards:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_markov_rejects_non_finite_frequencies(self, canonical_scheme, bad):
+        with pytest.raises(BadInterval):
+            spectral_markov(model_from_sbm(canonical_scheme), [0.5, bad])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_sbm_rejects_non_finite_frequencies(self, canonical_scheme, bad):
+        with pytest.raises(BadInterval):
+            spectral_sbm(canonical_scheme, [bad])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_series_rejects_non_finite_frequencies(self, canonical_scheme, bad):
+        covfn = markov_covfn(model_from_sbm(canonical_scheme))
+        with pytest.raises(BadInterval):
+            spectral_series(covfn, canonical_scheme, [bad, 0.0], tol=1e-8)
+
+    def test_underflowed_cycle_product_raises(self, canonical_scheme):
+        # ftilde(q-1) = 1e-600 underflows to 0, so 1/a does not exist
+        model = MarkovCovarianceModel(
+            scheme=canonical_scheme, R0=[1.0, 1.0], R1=[1e-300, 1e-300]
+        )
+        with pytest.raises(RangeOverflow):
+            spectral_markov(model, uniform_grid(8))
+        # 1/a = 4e300 is still a double: the density is finite
+        model = MarkovCovarianceModel(
+            scheme=canonical_scheme, R0=[1.0, 1.0], R1=[1e-150, 1e-150]
+        )
+        assert np.isfinite(spectral_markov(model, uniform_grid(8)).matrices).all()
 
 
 class TestSpectralEvaluation:
