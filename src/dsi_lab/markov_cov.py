@@ -22,11 +22,11 @@ R_kappa(-tau) = R_{kappa-tau}(tau).
 The blocked view V(n) = (W(n*q), ..., W(n*q + q - 1)) is a q-dimensional
 stationary-in-n sequence up to the deterministic scale factor: its lag
 matrices satisfy Q(n, tau) = alpha**(2*n*T*H) * Q(0, tau).  For tau >= 1
-the matrix has the rank-one product form ftilde(q-1)**tau * C * diag-free
-outer structure C[u, v] * R0[v] with C[u, v] = ftilde(u-1) / ftilde(v-1);
-at tau = 0 that product form is only valid on the lower triangle u >= v,
-and the strict upper triangle is its mirror (covariance matrices are
-symmetric: E[W(u) W(v)] carries the smaller index's variance either way).
+the matrix is ftilde(q-1)**tau * A, with the rank-one factor
+A[u, v] = ftilde(u-1) / ftilde(v-1) * R0[v]; at tau = 0 that form holds
+only on the lower triangle u >= v, and the strict upper triangle is its
+mirror (covariance matrices are symmetric: E[W(u) W(v)] carries the
+smaller index's variance either way).
 
 Everything is wide-sense: only second moments enter, no distributional
 assumptions beyond finite variances.
@@ -65,8 +65,9 @@ class MarkovCovarianceModel:
 
     Construction validates admissibility and the strict stability bound
     |ftilde(q-1)| < alpha**(T*H); on the boundary the spectral series does
-    not converge and ModelUnstable is raised.  A scale ladder alpha**(T*H)
-    outside double range raises RangeOverflow.
+    not converge and ModelUnstable is raised.  A scale ladder alpha**(T*H),
+    or a rank-one factor ftilde(u-1) / ftilde(v-1) * R0[v], outside double
+    range raises RangeOverflow.
     """
 
     scheme: SamplingScheme
@@ -124,6 +125,12 @@ class MarkovCovarianceModel:
                 f"alpha**(T*H) = {float(growth)!r}"
             )
         object.__setattr__(self, "_stability_ratio", float(ratio))
+        # rank-one factor A[u, v] = ftilde(u-1) / ftilde(v-1) * R0[v] of every
+        # lag matrix; an inner ftilde that underflowed to 0 has no inverse
+        with np.errstate(all="ignore"):
+            rank_one = np.outer(prefix[:q], R0 / prefix[:q])
+        check_log_range((log_abs(float(np.abs(rank_one).max())),), "rank-one factor A")
+        object.__setattr__(self, "_rank_one", rank_one)
 
     @property
     def f(self) -> np.ndarray:
@@ -234,32 +241,28 @@ def covariance_V(
 ) -> CovarianceMatrixResult:
     """Lag matrix Q(n, tau) of the blocked view, for integer n and tau >= 0.
 
-    Built from the rank-one product form ftilde(q-1)**tau * C[u, v] * R0[v]
-    with C[u, v] = ftilde(u-1) / ftilde(v-1), which holds entrywise for
-    tau >= 1 and on the lower triangle u >= v at tau = 0; the strict upper
-    triangle at tau = 0 is the symmetric mirror.  The result therefore always
-    equals the entrywise assembly from :func:`covariance_W`.  A negative tau
-    raises BadIndex; a power, partial product or result outside double range
-    raises RangeOverflow.
+    Built from the model's rank-one factor as ftilde(q-1)**tau * A[u, v],
+    which holds entrywise for tau >= 1 and on the lower triangle u >= v at
+    tau = 0; the strict upper triangle at tau = 0 is the symmetric mirror.
+    The result therefore always equals the entrywise assembly from
+    :func:`covariance_W`.  A negative tau raises BadIndex; a power, partial
+    product or result outside double range raises RangeOverflow.
     """
     if tau < 0:
         raise BadIndex(f"tau must be >= 0, got {tau}")
     scheme = model.scheme
-    q = scheme.q
-    pref = model._prefix[:q]
-    outer = np.outer(pref, model.R0 / pref)
     ladder = 2 * n * scheme.T * scheme.H
     # logs of ftilde**tau, the largest entry of base, alpha**ladder and the result
     log_power = _log_pow(model.ftilde_q, tau)
-    log_base = log_power + log_abs(float(np.max(np.abs(outer))))
+    log_base = log_power + log_abs(float(np.max(np.abs(model._rank_one))))
     log_scale = ladder * math.log(scheme.alpha)
     check_log_range(
         (log_power, log_base, log_scale, log_scale + log_base),
         f"covariance_V(n={n}, tau={tau})",
     )
-    base = model.ftilde_q ** tau * outer
+    base = model.ftilde_q ** tau * model._rank_one
     if tau == 0:
-        iu, jv = np.triu_indices(q, k=1)
+        iu, jv = np.triu_indices(scheme.q, k=1)
         base[iu, jv] = base[jv, iu]
     scale = scheme.alpha ** ladder
     return CovarianceMatrixResult(n=int(n), tau=int(tau), matrix=scale * base)

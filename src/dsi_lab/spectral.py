@@ -13,17 +13,17 @@ Q(-tau) = alpha**(-2 tau T H) * Q(tau)^T, so the summand pairs into a
 Hermitian matrix function with real nonnegative diagonal.
 
 For a wide-sense Markov model the series is geometric with per-lag ratio
-|ftilde(q-1)| * alpha**(-T*H) < 1 and sums in closed form: with
-a = ftilde(q-1) * alpha**(-T*H), C[u, v] = ftilde(u-1) / ftilde(v-1),
+|ftilde(q-1)| * alpha**(-T*H) < 1 and sums in closed form without dividing
+by a = ftilde(q-1) * alpha**(-T*H): with d = 1 / (1 - a e^{-i omega}) and
+the rank-one factor A[u, v] = ftilde(u-1) / ftilde(v-1) * R0[v],
 
     g[u, v](omega) = (s_u s_v)**(-H) / (2 pi)
-                     * ( C[u, v] R0[v] / (1 - a e^{-i omega})
-                         - C[u, v]^{-1} R0[u] / (1 - e^{-i omega} / a) ),
+                     * ( A[u, v] d + A[v, u] a conj(e^{-i omega} d) ),
 
 valid as written for u >= v; the strict upper triangle is the conjugate
 mirror (the lag-zero matrix that seeds the resummation is only given by
 the product form on the lower triangle).  The banded Brownian reference
-process specializes this with C = 1, a = alpha**(-T/2).
+process specializes this with A[u, v] = R0[v], a = alpha**(-T/2).
 
 The inverse direction recovers lag matrices from a density sampled on a
 uniform M-point frequency grid by the rectangle rule
@@ -31,8 +31,9 @@ uniform M-point frequency grid by the rectangle rule
     Q[u, v](tau) ~ alpha**(tau T H) (s_u s_v)**H * (2 pi / M)
                    * sum_k exp(i omega_k tau) g[u, v](omega_k),
 
-and :func:`spectral_distribution_interval` integrates a scalar density
-over [lo, hi) from its covariance Fourier coefficients.
+evaluated at every lag by one inverse FFT of the density, and
+:func:`spectral_distribution_interval` integrates a scalar density over
+[lo, hi) from its covariance Fourier coefficients.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import SamplingScheme, check_log_range, log_abs
+from .core import SamplingScheme, check_log_range
 from .errors import (
     BadInterval,
     GridTooCoarse,
@@ -105,8 +106,9 @@ def _omegas(omegas) -> np.ndarray:
 
 
 def _prefactor(scheme: SamplingScheme) -> np.ndarray:
-    s = np.asarray(scheme.s, dtype=float)
-    return (np.outer(s, s)) ** (-scheme.H) / _TWO_PI
+    # s_u * s_v may leave double range, but s**(-H) <= 1 cannot
+    s_h = np.asarray(scheme.s, dtype=float) ** (-scheme.H)
+    return np.outer(s_h, s_h) / _TWO_PI
 
 
 def spectral_series(
@@ -236,8 +238,7 @@ def spectral_series(
 def _mirror_upper(matrices: np.ndarray) -> np.ndarray:
     # overwrite the strict upper triangle with the conjugate of the lower:
     # the one-sided resummation is authoritative for u >= v only
-    q = matrices.shape[-1]
-    iu, jv = np.triu_indices(q, k=1)
+    iu, jv = np.triu_indices(matrices.shape[-1], k=1)
     matrices[:, iu, jv] = np.conj(matrices[:, jv, iu])
     return matrices
 
@@ -245,16 +246,14 @@ def _mirror_upper(matrices: np.ndarray) -> np.ndarray:
 def spectral_markov(model: MarkovCovarianceModel, omegas) -> SpectralEvaluation:
     """Closed-form density matrix of a stable wide-sense Markov model.
 
-    Sums the geometric series exactly: for u >= v,
+    Sums the geometric series exactly, without dividing by a: for u >= v,
 
-        g[u, v](w) = K[u, v] * ( A[u, v] / (1 - a e^{-iw})
-                                 - B[u, v] / (1 - e^{-iw} / a) )
+        g[u, v](w) = K[u, v] * ( A[u, v] d + A[v, u] a conj(e^{-iw} d) ),
 
-    with a = ftilde(q-1) * alpha**(-T*H), A[u, v] = C[u, v] * R0[v],
-    B[u, v] = R0[u] / C[u, v], and conjugate-mirrored upper triangle.
-    Frequencies must be finite (BadInterval).  A cycle factor a so small
-    that 1/a leaves double range, including an a that underflowed to 0,
-    raises RangeOverflow.
+    with d = 1 / (1 - a e^{-iw}), a = ftilde(q-1) * alpha**(-T*H), the
+    model's rank-one factor A[u, v] = ftilde(u-1) / ftilde(v-1) * R0[v] and
+    conjugate-mirrored upper triangle.  An a that underflowed to 0 leaves
+    the lag-zero density K * A.  Frequencies must be finite (BadInterval).
     """
     scheme = model.scheme
     if not model.stability_ratio < 1.0:
@@ -262,21 +261,14 @@ def spectral_markov(model: MarkovCovarianceModel, omegas) -> SpectralEvaluation:
             f"stability ratio {model.stability_ratio!r} must be < 1"
         )
     omegas = _omegas(omegas)
-    q = scheme.q
-    pref = model._prefix[:q]
-    C = np.outer(pref, 1.0 / pref)
-    A = C * model.R0[None, :]
-    B = A.T  # B[u, v] = C[v, u] * R0[u]
+    A = model._rank_one
     a = model.ftilde_q * scheme.alpha ** (-scheme.T * scheme.H)
-    # e / a below needs a finite 1/a
-    check_log_range((-log_abs(a),), "inverse cycle factor 1/a of spectral_markov")
-
     e = np.exp(-1j * omegas)
-    d1 = 1.0 / (1.0 - a * e)
-    d2 = 1.0 / (1.0 - e / a)
-    K = _prefactor(scheme)
-    mats = K[None, :, :] * (
-        A[None, :, :] * d1[:, None, None] - B[None, :, :] * d2[:, None, None]
+    d = 1.0 / (1.0 - a * e)
+    # the second geometric sum, a * conj(e) / (1 - a * conj(e)) for real a
+    d2 = a * np.conj(e * d)
+    mats = _prefactor(scheme)[None, :, :] * (
+        A[None, :, :] * d[:, None, None] + A.T[None, :, :] * d2[:, None, None]
     )
     return SpectralEvaluation(omegas=omegas, matrices=_mirror_upper(mats))
 
@@ -298,11 +290,10 @@ def spectral_sbm(scheme: SamplingScheme, omegas) -> SpectralEvaluation:
     s = np.asarray(scheme.s, dtype=float)
     lam = scheme.scale
     hp = scheme.H - 0.5
-    a = scheme.alpha ** (-scheme.T / 2.0)
 
     e = np.exp(-1j * omegas)
-    d1 = 1.0 / (1.0 - a * e)
-    d2 = 1.0 / (1.0 - e / a)
+    d1 = 1.0 / (1.0 - scheme.alpha ** (-scheme.T / 2.0) * e)
+    d2 = 1.0 / (1.0 - scheme.alpha ** (scheme.T / 2.0) * e)
     K = _prefactor(scheme) * lam ** (2 * hp)
     sv = np.broadcast_to(s[None, :], (scheme.q, scheme.q))
     su = sv.T
@@ -338,15 +329,17 @@ def invert_spectrum(
     (aliasing decays with the density's smoothness).  Returns
 
         Q(tau) = alpha**(tau T H) (s_u s_v)**H * (2 pi / M)
-                 * sum_k e^{i omega_k tau} g(omega_k).
+                 * sum_k e^{i omega_k tau} g(omega_k),
+
+    the sum being 2 pi * ifft(g)[tau mod M].  A rescaling factor or a
+    recovered value outside double range raises RangeOverflow.
     """
     taus = tuple(int(t) for t in taus)
     if not taus:
         raise BadInterval("need at least one lag to invert")
-    omegas = evaluation.omegas
-    M = omegas.size
+    M = evaluation.omegas.size
     expected = np.arange(M) * (_TWO_PI / M)
-    if M < 2 or not np.allclose(omegas, expected, rtol=0.0, atol=1e-9):
+    if M < 2 or not np.allclose(evaluation.omegas, expected, rtol=0.0, atol=1e-9):
         raise GridTooCoarse(
             "inversion needs the uniform grid omega_k = 2*pi*k/M, k = 0..M-1"
         )
@@ -356,14 +349,17 @@ def invert_spectrum(
             f"M = {M} frequency points cannot resolve lag {t_abs}; need M >= {4 * t_abs}"
         )
 
-    s = np.asarray(scheme.s, dtype=float)
-    su_sv = np.outer(s, s) ** scheme.H
     tau_arr = np.array(taus)
-    # kernel[i, k] = e^{i omega_k tau_i} / M * 2 pi ... folded with weights
-    kernel = np.exp(1j * np.outer(tau_arr, omegas)) * (_TWO_PI / M)
-    raw = np.einsum("tk,kuv->tuv", kernel, evaluation.matrices)
-    growth = scheme.alpha ** (tau_arr * scheme.T * scheme.H)
-    full = growth[:, None, None] * su_sv[None, :, :] * raw
+    # the rectangle-rule sums at all lags are one inverse FFT, read at tau mod M
+    raw = _TWO_PI * np.fft.ifft(evaluation.matrices, axis=0)[tau_arr % M]
+    # logs of alpha**(tau T H) (s_u s_v)**H and of the rescaled values (log 0 = -inf)
+    log_s = np.log(np.asarray(scheme.s, dtype=float))
+    log_t = tau_arr * (scheme.T * math.log(scheme.alpha))
+    log_scale = scheme.H * (log_t[:, None, None] + np.add.outer(log_s, log_s))
+    with np.errstate(divide="ignore"):
+        log_full = log_scale + np.log(np.abs(raw))
+    check_log_range((log_scale.max(), log_full.max()), "invert_spectrum rescaled lag matrices")
+    full = np.exp(log_scale) * raw
     return CovarianceRecovery(
         taus=taus,
         matrices=full.real.copy(),

@@ -6,6 +6,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from dsi_lab import cli, covariance_V, model_from_sbm, validate_scheme
 from dsi_lab.cli import main
@@ -171,11 +173,17 @@ class TestExitCodes:
             ["covariance", "--alpha", "1e300", "--T", "2"],
             ["simulate", "--T", "1024"],
             ["invert", "--T", "700"],
+            ["invert", "--T", "300"],
+            ["invert", "--T", "600"],
         ],
-        ids=["scale_T", "scale_alpha", "scale_edge", "reference_model"],
+        ids=[
+            "scale_T", "scale_alpha", "scale_edge", "reference_model",
+            "invert_growth_T300", "invert_growth_T600",
+        ],
     )
     def test_scheme_overflow_exit_two(self, tmp_path, capsys, argv):
-        # alpha**T, or the reference model's band powers, past double range
+        # alpha**T, the reference model's band powers, or the inversion's
+        # growth alpha**(tau*T*H), past double range
         out = tmp_path / "x.csv"
         assert run(argv + ["--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: RangeOverflow: ")
@@ -233,11 +241,11 @@ class TestOutputs:
             # the omega = 0 rows carry -0.0 imaginary parts
             (
                 ["spectrum", "--omega-points", "64"],
-                "a78ff81ebb738a281ba758d94bed74c3eacdaa7e72f819c9385c94463903d734",
+                "2bea5d3c6b0095d6b834928a14ae1d579fc9cf089f28b08cd682b33a4332544a",
             ),
             (
                 ["invert", "--omega-points", "512", "--tau-max", "8"],
-                "b2ac84f5e0f7ca7ad28b16175a98533d46bab83184e76a212880dc18ea91bcec",
+                "7a98e5ce10c24cdef3192ffc71c581eea8975d6fe18db94cd035b4ec573f9193",
             ),
             (
                 ["covariance", "--tau-max", "6", *Q3_FLAGS],
@@ -245,11 +253,11 @@ class TestOutputs:
             ),
             (
                 ["spectrum", "--omega-points", "64", *Q3_FLAGS],
-                "0944b60713b61b9941bb72c973f77aadc27ce20e6a141008300fb97da6add1c1",
+                "67eec5944b754f5de5e3207d683a8b602266e2223e5a6ee93f7d93155e708779",
             ),
             (
                 ["invert", "--omega-points", "512", "--tau-max", "8", *Q3_FLAGS],
-                "1907f511aa38f46b80dae776ef5f7eb49addd054e020bb7f9a2ed92c7ef354a4",
+                "25c324791b4e9e4cd2231c1dd92070003474d63bcc33cc210b47e00f9299c55b",
             ),
         ],
         ids=[
@@ -274,7 +282,7 @@ class TestOutputs:
         assert run(["spectrum", "--config", str(cfg), "--omega-points", "64",
                     "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "73366c55ae738505dff5b9aaf10ef6be886cb599b1bb85681ae7030d20519be3"
+            "3f34030651388d21710debf20459bc173771de0c313f106dea025619698e8da1"
         )
 
     def test_spectrum_row_count_and_values(self, tmp_path):
@@ -317,6 +325,66 @@ class TestOutputs:
         assert len(rows) == 16 * 4
 
 
+# hand-picked edges and any double argparse accepts
+WIDE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -1.0, 1e-300, 1e300, -1e300]), st.floats()
+)
+
+
+def offsets(values):
+    # ascending lists, so that most draws reach the model
+    return st.lists(values, min_size=1, max_size=3, unique=True).map(sorted)
+
+
+# each scheme flag: a mostly valid range and a wide one
+SCHEME_FLAGS = {
+    "--alpha": (st.floats(1.1, 4.0), WIDE_FLOATS),
+    "--H": (st.floats(0.1, 3.0), WIDE_FLOATS),
+    "--T": (st.integers(1, 3000), st.integers(-3000, 3000)),
+    "--s": (offsets(st.floats(1.0, 4.0)), offsets(WIDE_FLOATS)),
+    "--tol": (st.floats(1e-12, 1e-3), WIDE_FLOATS),
+    "--seed": (st.integers(0, 2 ** 64 - 1), st.integers(-1, 2 ** 64)),
+}
+
+
+@st.composite
+def cli_argv(draw):
+    """One command with optional scheme flags, at most one of them drawn
+    from its wide range, and small size flags: no table reaches the
+    forking threshold.  Each flag is one --name=value token, so that a
+    value like -1e+300 is not read as a flag."""
+    argv = [draw(st.sampled_from(cli._COMMANDS))]
+    wide = draw(st.sampled_from([None, *SCHEME_FLAGS]))
+    for name, (usual, wide_values) in SCHEME_FLAGS.items():
+        if name == wide or draw(st.booleans()):
+            value = draw(wide_values if name == wide else usual)
+            text = ",".join(map(repr, value)) if name == "--s" else repr(value)
+            argv.append(f"{name}={text}")
+    argv.append(f"--paths={draw(st.integers(-1, 200))}")
+    argv.append(f"--omega-points={draw(st.integers(-1, 512))}")
+    argv.append(f"--tau-max={draw(st.integers(-1, 8))}")
+    return argv
+
+
+class TestCliProperty:
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(argv=cli_argv())
+    # alpha**(tau*T*H) past double range in the inversion
+    @example(argv=["invert", "--T=600", "--paths=1", "--omega-points=64", "--tau-max=4"])
+    # the product s_u * s_v past double range in the density prefactor
+    @example(argv=["spectrum", "--T=700", "--H=0.5", "--s=1.0,1e200", "--paths=1",
+                   "--omega-points=8", "--tau-max=0"])
+    def test_main_returns_an_exit_code(self, tmp_path, capsys, argv):
+        # every input argparse accepts ends in an exit code: no exception,
+        # and no numpy warning (an error under this suite's warning filter)
+        code = main(argv + ["--out", str(tmp_path / "out.csv")])
+        assert code in ({0, 1, 2, 3, 4} if argv[0] == "verify" else {0, 2, 3, 4})
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="CSV workers are forked")
 class TestParallelWriter:
     @pytest.mark.parametrize(
@@ -328,7 +396,7 @@ class TestParallelWriter:
             ),
             (
                 ["spectrum", "--omega-points", "16384"],
-                "7622c559eac226096a1e3920d302e63b7d978abfad379a0f85acee06ea92cd34",
+                "333290e187d46ff7c752b1e18645843ec0b96f02b1d680292ff70a37f33ed988",
             ),
         ],
         ids=["simulate", "spectrum"],

@@ -108,6 +108,17 @@ class TestModelConstruction:
                 scheme=make_scheme(H=5.5, T=200), R0=[1.0, 1.0], R1=[0.5, 0.5]
             )
 
+    def test_rank_one_factor_past_double_range(self):
+        # ftilde(1) = 1e-400 underflows to 0, so the factor entry
+        # A[0, 2] = ftilde(-1) / ftilde(1) * R0[2] = 1e400 is no double
+        sch = make_scheme(alpha=3.0, s=(1.0, 1.7, 2.2))
+        with pytest.raises(RangeOverflow):
+            MarkovCovarianceModel(scheme=sch, R0=[1.0] * 3, R1=[1e-200] * 3)
+        # ftilde(1) = 1e-300: A[0, 2] = 1e300 still is
+        model = MarkovCovarianceModel(scheme=sch, R0=[1.0] * 3, R1=[1e-150] * 3)
+        for tau in (0, 1):
+            assert np.isfinite(covariance_V(model, 0, tau).matrix).all()
+
     def test_reference_summary_h_half(self):
         model = model_from_sbm(make_scheme(H=0.5))
         # H' = 0: no band growth, covariances reduce to min(t1, t2)

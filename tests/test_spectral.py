@@ -64,6 +64,30 @@ def brute_force_density(scheme, omegas, n_lags: int) -> np.ndarray:
     return K[None, :, :] * out
 
 
+def two_division_density(model, omegas) -> np.ndarray:
+    """The closed form as first written, before its upper triangle is
+    mirrored: K * (A / (1 - a e) - A^T / (1 - e / a)), with the factor
+    A = C * R0 built from f_tilde."""
+    sch = model.scheme
+    pref = np.array([f_tilde(model, v - 1) for v in range(sch.q)])
+    A = np.outer(pref, 1.0 / pref) * model.R0[None, :]
+    a = model.ftilde_q * sch.alpha ** (-sch.T * sch.H)
+    K = np.outer(sch.s, sch.s) ** (-sch.H) / TWO_PI
+    e = np.exp(-1j * np.asarray(omegas))[:, None, None]
+    return K[None] * (A[None] / (1.0 - a * e) - A.T[None] / (1.0 - e / a))
+
+
+def direct_inversion(ev, scheme, taus) -> np.ndarray:
+    """Rectangle-rule inversion summed over an explicit (lags, M) kernel."""
+    taus = np.asarray(taus)
+    M = ev.omegas.size
+    kernel = np.exp(1j * np.outer(taus, ev.omegas)) * (TWO_PI / M)
+    raw = np.einsum("tk,kuv->tuv", kernel, ev.matrices)
+    growth = scheme.alpha ** (taus * scheme.T * scheme.H)
+    su_sv = np.outer(scheme.s, scheme.s) ** scheme.H
+    return (growth[:, None, None] * su_sv[None] * raw).real
+
+
 class TestAgainstBruteForceOracle:
     def test_block_scale_ladder_holds_for_oracle(self, canonical_scheme):
         # the negative-lag identity Q(-tau) = alpha**(-2 tau T H) Q(tau)^T
@@ -139,6 +163,20 @@ class TestClosedForms:
                 )
                 assert np.max(np.abs(closed.matrices - series.matrices)) < 1e-8
 
+    def test_division_free_form_matches_two_division_form(self):
+        # the shipped form never divides by a; wherever 1/a is a double it
+        # agrees with the two-division form to 1e-13 relative
+        rng = np.random.default_rng(61)
+        omegas = uniform_grid(64)
+        for q in (1, 2, 3, 4):
+            iu, jv = np.triu_indices(q, k=1)
+            for _ in range(50):
+                model = random_stable_model(rng, q)
+                want = two_division_density(model, omegas)
+                want[:, iu, jv] = np.conj(want[:, jv, iu])
+                got = spectral_markov(model, omegas).matrices
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
     def test_diagonal_real_and_nonnegative(self, stable_model_factory):
         rng = np.random.default_rng(53)
         omegas = uniform_grid(64)
@@ -184,21 +222,9 @@ class TestClosedForms:
         # the lag-zero seed of the resummation is only the covariance on the
         # lower triangle.  At omega = 0 the defect is exactly
         # K[0,1] * |A[0,1] - A[1,0]| = (3 - 2) / (3 pi) for this geometry.
-        sch = canonical_scheme
-        model = model_from_sbm(sch)
-        q = sch.q
-        pref = np.array([f_tilde(model, v - 1) for v in range(q)])
-        C = np.outer(pref, 1.0 / pref)
-        A = C * model.R0[None, :]
-        B = A.T
-        a = model.ftilde_q * sch.alpha ** (-sch.T * sch.H)
-        K = np.outer(sch.s, sch.s) ** (-sch.H) / TWO_PI
+        model = model_from_sbm(canonical_scheme)
         omegas = np.array([0.0, 1.0, 2.5])
-        e = np.exp(-1j * omegas)
-        raw = K[None] * (
-            A[None] / (1.0 - a * e[:, None, None])
-            - B[None] / (1.0 - e[:, None, None] / a)
-        )
+        raw = two_division_density(model, omegas)
         defect = np.max(np.abs(raw - np.conj(np.swapaxes(raw, 1, 2))))
         assert defect > 0.1
         assert abs(raw[0, 0, 1] - raw[0, 1, 0]) == pytest.approx(
@@ -348,6 +374,27 @@ class TestInversion:
         direct = spectral_markov(model, probe)
         assert np.max(np.abs(resummed - direct.matrices)) < 1e-5
 
+    @pytest.mark.parametrize(
+        "taus, rel",
+        [(range(5), 1e-13), (range(-32, 33), 1e-10)],
+        ids=["lags_0_4", "lags_pm32"],
+    )
+    def test_fft_matches_direct_sum(self, canonical_scheme, taus, rel):
+        # at lag 32 the canonical entries still stand well above the
+        # round-off of either sum
+        ev = spectral_markov(model_from_sbm(canonical_scheme), uniform_grid(16384))
+        got = invert_spectrum(ev, canonical_scheme, taus).matrices
+        want = direct_inversion(ev, canonical_scheme, taus)
+        assert np.max(np.abs(got - want) / np.abs(want)) < rel
+
+    def test_growth_past_double_range_raises(self):
+        # alpha**(tau*T*H) = 2**1200 at lag 2; lags 0 and 1 are in range
+        sch = make_scheme(T=600)
+        ev = spectral_markov(model_from_sbm(sch), uniform_grid(64))
+        assert np.isfinite(invert_spectrum(ev, sch, [0, 1]).matrices).all()
+        with pytest.raises(RangeOverflow):
+            invert_spectrum(ev, sch, [0, 2])
+
     def test_grid_too_coarse(self, canonical_scheme):
         model = model_from_sbm(canonical_scheme)
         ev = spectral_markov(model, uniform_grid(16))
@@ -443,18 +490,33 @@ class TestFrequencyAndRangeGuards:
         with pytest.raises(BadInterval):
             spectral_series(covfn, canonical_scheme, [bad, 0.0], tol=1e-8)
 
-    def test_underflowed_cycle_product_raises(self, canonical_scheme):
-        # ftilde(q-1) = 1e-600 underflows to 0, so 1/a does not exist
+    def test_underflowed_cycle_product_is_finite(self, canonical_scheme):
+        # ftilde(q-1) = 1e-600 underflows to 0, so a = 0 and every lag past
+        # zero vanishes: the density is the series' lag-zero term
         model = MarkovCovarianceModel(
             scheme=canonical_scheme, R0=[1.0, 1.0], R1=[1e-300, 1e-300]
         )
-        with pytest.raises(RangeOverflow):
-            spectral_markov(model, uniform_grid(8))
-        # 1/a = 4e300 is still a double: the density is finite
+        omegas = uniform_grid(8)
+        got = spectral_markov(model, omegas).matrices
+        want = spectral_series(
+            markov_covfn(model), canonical_scheme, omegas, tol=1e-12, tail_ratio=0.0
+        ).matrices
+        assert np.isfinite(got).all()
+        np.testing.assert_array_equal(got, want)
+        # a = 5e-301 is still a double: the density is finite as well
         model = MarkovCovarianceModel(
             scheme=canonical_scheme, R0=[1.0, 1.0], R1=[1e-150, 1e-150]
         )
         assert np.isfinite(spectral_markov(model, uniform_grid(8)).matrices).all()
+
+    def test_offset_product_past_double_range(self):
+        # s_u * s_v = 1e400 is not a double, (s_u * s_v)**(-1/2) = 1e-200 is
+        sch = make_scheme(H=0.5, T=700, s=(1.0, 1e200))
+        omegas = uniform_grid(8)
+        markov = spectral_markov(model_from_sbm(sch), omegas).matrices
+        ref = spectral_sbm(sch, omegas).matrices
+        assert np.isfinite(markov).all() and np.isfinite(ref).all()
+        assert np.max(np.abs(markov - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestSpectralEvaluation:
