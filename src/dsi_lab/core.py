@@ -15,6 +15,11 @@ time of each sample, plus validation of the scheme parameters.
 
 Floor division defines the split for negative kappa as well, so e.g.
 kappa = -1 with q = 3 lives in cycle n = -1 at offset u = 2.
+
+Overflow policy, for the whole package: each closed form that can leave
+double range is evaluated once, as the code computes it, through
+:func:`in_range` (scalars) or :func:`arrays_in_range` (arrays), which
+raise RangeOverflow unless every value it returns is finite.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -34,29 +39,38 @@ from .errors import (
     RangeOverflow,
 )
 
-# natural log of the largest finite double, about 709.78
-_MAX_LOG = math.log(sys.float_info.max)
+# values at or below the reciprocal of the largest double have no finite
+# reciprocal: a sample time or envelope there has flushed towards zero
+TINY = 1 / sys.float_info.max
 
 
-def log_abs(x: float) -> float:
-    """Natural log of |x|, with -inf standing for zero."""
-    return math.log(abs(x)) if x else -math.inf
+def in_range(what: str, form: Callable[[], float]) -> float:
+    """Return the scalar closed form ``form()``; RangeOverflow names ``what``
+    unless the value is finite.
 
-
-def check_log_range(log_values: Iterable[float], what: str) -> None:
-    """Raise RangeOverflow unless every value a computation forms is finite.
-
-    log_values are the natural logs of the magnitudes of the values the
-    computation forms, in evaluation order: each power on its own, then each
-    partial product.  A log that rounds to ln(DBL_MAX) itself, such as
-    1024 * ln 2, may belong to a value past the largest double, so it
-    raises too, as does a NaN log (an input that already overflowed).
+    An overflow in a product of powers ends as inf or NaN, or as the
+    OverflowError of float ``**`` or the ZeroDivisionError of ``0.0 ** -k``,
+    so the result alone decides.  Scalar forms use Python floats, which
+    never emit numpy warnings.
     """
-    for x in log_values:
-        if not x < _MAX_LOG:
-            raise RangeOverflow(
-                f"{what} has log magnitude {x:.1f}, outside double precision"
-            )
+    return _checked(what, form, math.isfinite)
+
+
+def arrays_in_range(what: str, form: Callable[[], Any]) -> Any:
+    """:func:`in_range` for an array, or a tuple of same-shape arrays,
+    evaluated with numpy's floating-point warnings off."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return _checked(what, form, lambda value: np.isfinite(value).all())
+
+
+def _checked(what, form, is_finite):
+    try:
+        value = form()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not is_finite(value):
+        raise RangeOverflow(f"{what} is outside double precision range")
+    return value
 
 
 @dataclass(frozen=True)
@@ -105,9 +119,9 @@ class SamplingScheme:
                 raise NonIncreasingOffsets(
                     f"offsets must be strictly increasing, got {self.s}"
                 )
-        check_log_range(
-            (self.T * math.log(self.alpha),),
+        in_range(
             f"cycle scale alpha**T (alpha = {self.alpha!r}, T = {self.T})",
+            lambda: self.alpha ** self.T,
         )
         if not (self.s[0] >= 1.0):
             raise OffsetOutOfRange(f"s[0] must be >= 1, got {self.s[0]!r}")
@@ -180,14 +194,15 @@ class SampleGrid:
 def sample_time(scheme: SamplingScheme, kappa: int) -> float:
     """Physical time of sample kappa, t = alpha**(n*T) * s_u.
 
-    Raises RangeOverflow when |log t| exceeds the log of the largest finite
-    double (about 709.78), where t would silently overflow or flush towards
-    zero.
+    Raises RangeOverflow when t is not a finite double, or when it has
+    flushed towards zero, at or below the reciprocal of the largest double.
     """
     n, u = split_index(kappa, scheme.q)
-    log_t = n * scheme.T * math.log(scheme.alpha) + math.log(scheme.s[u])
-    check_log_range((log_t, -log_t), f"sample time for kappa = {kappa}")
-    return scheme.alpha ** (n * scheme.T) * scheme.s[u]
+    what = f"sample time for kappa = {kappa}"
+    t = in_range(what, lambda: scheme.alpha ** (n * scheme.T) * scheme.s[u])
+    if not t > TINY:
+        raise RangeOverflow(f"{what} flushes towards zero")
+    return t
 
 
 def sample_points(scheme: SamplingScheme, kappa_min: int, kappa_max: int) -> SampleGrid:
@@ -199,7 +214,7 @@ def sample_points(scheme: SamplingScheme, kappa_min: int, kappa_max: int) -> Sam
     """
     if kappa_max < kappa_min:
         raise BadIndex(f"empty index range [{kappa_min}, {kappa_max}]")
-    # times increase with kappa, so the end samples bound every log time
+    # times increase with kappa, so the end samples bound every time
     sample_time(scheme, kappa_min)
     sample_time(scheme, kappa_max)
     kappa = np.arange(kappa_min, kappa_max + 1)

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SamplingScheme, check_log_range, sample_points
-from .errors import BadBase, BadIndex, NonPositivePoint
+from .core import TINY, SamplingScheme, arrays_in_range, sample_points
+from .errors import BadBase, BadIndex, NonPositivePoint, RangeOverflow
 
 
 def _as_float_vector(x, name: str) -> np.ndarray:
@@ -97,19 +97,19 @@ def quasi_lamperti(y: StationaryGrid, H: float, alpha: float) -> SelfSimilarGrid
     (alpha**times)**H, i.e. X(alpha**t) = alpha**(t*H) * Y(t).
 
     Raises RangeOverflow if a point, an envelope factor or a rescaled value
-    leaves the double-precision range.
+    leaves the double-precision range, or if the smallest point or its
+    envelope flushes towards zero.
     """
     _check_transform_params(H, alpha)
-    log_alpha = math.log(alpha)
-    if y.times.size:
-        # logs of the largest point or envelope factor and of the largest
-        # rescaled value; a zero value has log -inf
-        worst = float(np.max(np.abs(y.times))) * log_alpha * max(1.0, H)
-        with np.errstate(divide="ignore"):
-            log_scaled = np.log(np.abs(y.values)) + H * log_alpha * y.times
-        check_log_range((worst, float(np.max(log_scaled))), "alpha**(H*t) * values")
-    points = alpha ** y.times
-    values = points ** H * y.values
+
+    def transform():
+        points = alpha ** y.times
+        return points, points ** H * y.values
+
+    points, values = arrays_in_range("alpha**t and alpha**(H*t) * values", transform)
+    # the smallest point and envelope factor sit at the first time
+    if points.size and not min(points[0], points[0] ** H) > TINY:
+        raise RangeOverflow("alpha**t or alpha**(H*t) flushes towards zero")
     return SelfSimilarGrid(points=points, values=values)
 
 
@@ -119,20 +119,15 @@ def inverse_quasi_lamperti(x: SelfSimilarGrid, H: float, alpha: float) -> Statio
     Times become log_alpha(points) and values lose the power-law envelope:
     Y(t) = alpha**(-t*H) * X(alpha**t).
 
-    Raises RangeOverflow if an envelope factor points**(-H) or a rescaled
-    value leaves the double-precision range, as it does for tiny points.
+    Raises RangeOverflow if a time, an envelope factor points**(-H) or a
+    rescaled value leaves the double-precision range, as it does for tiny
+    points.
     """
     _check_transform_params(H, alpha)
-    if x.points.size:
-        # logs of the largest envelope factor, at the smallest point, and
-        # of the largest rescaled value; a zero value has log -inf
-        with np.errstate(divide="ignore"):
-            log_scaled = np.log(np.abs(x.values)) - H * np.log(x.points)
-        check_log_range(
-            (-H * math.log(x.points[0]), float(np.max(log_scaled))), "points**(-H) * values"
-        )
-    times = np.log(x.points) / math.log(alpha)
-    values = x.points ** (-H) * x.values
+    times, values = arrays_in_range(
+        "log_alpha(points) and points**(-H) * values",
+        lambda: (np.log(x.points) / math.log(alpha), x.points ** (-H) * x.values),
+    )
     return StationaryGrid(times=times, values=values)
 
 

@@ -40,7 +40,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import SamplingScheme, check_log_range, log_abs, split_index
+from .core import SamplingScheme, arrays_in_range, in_range, split_index
 from .errors import BadIndex, InvalidModel, ModelUnstable, NegativeKappa
 
 # relative slack for the Cauchy-Schwarz admissibility check
@@ -93,9 +93,10 @@ class MarkovCovarianceModel:
             )
         # the scale ladder alpha**(T*H) is the standard-deviation growth per
         # cycle; the stability ratio divides by it
-        log_growth = self.scheme.T * self.scheme.H * math.log(self.scheme.alpha)
-        check_log_range((log_growth,), "scale ladder alpha**(T*H)")
-        growth = self.scheme.alpha ** (self.scheme.T * self.scheme.H)
+        growth = in_range(
+            "scale ladder alpha**(T*H)",
+            lambda: self.scheme.alpha ** (self.scheme.T * self.scheme.H),
+        )
         # Cauchy-Schwarz: |R1[j]| <= sqrt(R0[j] * Var(W(j+1))), in standard
         # deviations; the wrap neighbour's is alpha**(T*H) * sqrt(R0[0]).  A
         # bound past double range is inf, which every finite R1 meets.
@@ -112,11 +113,14 @@ class MarkovCovarianceModel:
         object.__setattr__(self, "R0", R0)
         object.__setattr__(self, "R1", R1)
 
-        f = R1 / R0
-        # prefix[v] = ftilde(v-1) = f(0) ... f(v-1); prefix[0] = 1
-        prefix = np.concatenate([[1.0], np.cumprod(f)])
-        object.__setattr__(self, "_f", f)
-        object.__setattr__(self, "_prefix", prefix)
+        # prefix[v] = ftilde(v-1) = f(0) ... f(v-1) with f = R1 / R0 and
+        # prefix[0] = 1; kept as Python floats for the scalar closed forms
+        prefix = arrays_in_range(
+            "running products ftilde of R1 / R0",
+            lambda: np.concatenate([[1.0], np.cumprod(R1 / R0)]),
+        )
+        object.__setattr__(self, "_f", R1 / R0)
+        object.__setattr__(self, "_prefix", tuple(prefix.tolist()))
 
         ratio = abs(prefix[q]) / growth
         if not ratio < 1.0:
@@ -127,9 +131,9 @@ class MarkovCovarianceModel:
         object.__setattr__(self, "_stability_ratio", float(ratio))
         # rank-one factor A[u, v] = ftilde(u-1) / ftilde(v-1) * R0[v] of every
         # lag matrix; an inner ftilde that underflowed to 0 has no inverse
-        with np.errstate(all="ignore"):
-            rank_one = np.outer(prefix[:q], R0 / prefix[:q])
-        check_log_range((log_abs(float(np.abs(rank_one).max())),), "rank-one factor A")
+        rank_one = arrays_in_range(
+            "rank-one factor A", lambda: np.outer(prefix[:q], R0 / prefix[:q])
+        )
         object.__setattr__(self, "_rank_one", rank_one)
 
     @property
@@ -140,7 +144,7 @@ class MarkovCovarianceModel:
     @property
     def ftilde_q(self) -> float:
         """Full-cycle product ftilde(q-1) = f(0) ... f(q-1)."""
-        return float(self._prefix[self.scheme.q])
+        return self._prefix[self.scheme.q]
 
     @property
     def stability_ratio(self) -> float:
@@ -162,12 +166,8 @@ def f_tilde(model: MarkovCovarianceModel, r: int) -> float:
     """
     q = model.scheme.q
     m, v = divmod(int(r) + 1, q)
-    # logs of ftilde(q-1)**m and the result
-    log_power = _log_pow(model._prefix[q], m)
-    check_log_range(
-        (log_power, log_power + log_abs(model._prefix[v])), f"f_tilde(r={r})"
-    )
-    return float(model._prefix[q] ** m * model._prefix[v])
+    prefix = model._prefix
+    return in_range(f"f_tilde(r={r})", lambda: prefix[q] ** m * prefix[v])
 
 
 def _f_tilde_ratio(model: MarkovCovarianceModel, a: int, b: int) -> float:
@@ -176,14 +176,8 @@ def _f_tilde_ratio(model: MarkovCovarianceModel, a: int, b: int) -> float:
     q = model.scheme.q
     ma, va = divmod(int(a) + 1, q)
     mb, vb = divmod(int(b) + 1, q)
-    return float(
-        model._prefix[q] ** (ma - mb) * (model._prefix[va] / model._prefix[vb])
-    )
-
-
-def _log_pow(x: float, k: int) -> float:
-    # log |x**k|; x**0 is 1 even when x has underflowed to zero
-    return k * log_abs(x) if k else 0.0
+    prefix = model._prefix
+    return prefix[q] ** (ma - mb) * (prefix[va] / prefix[vb])
 
 
 def covariance_W(model: MarkovCovarianceModel, kappa: int, tau: int) -> float:
@@ -207,19 +201,13 @@ def covariance_W(model: MarkovCovarianceModel, kappa: int, tau: int) -> float:
     scheme = model.scheme
     t, s = divmod(tau, scheme.q)
     n, u = split_index(kappa, scheme.q)
-    ratio = _f_tilde_ratio(model, kappa + s - 1, kappa - 1)
     ladder = 2 * n * scheme.T * scheme.H
-    # logs of ftilde**t, ftilde**t * ratio, alpha**ladder, var and the result
-    log_power = _log_pow(model.ftilde_q, t)
-    log_head = log_power + log_abs(ratio)
-    log_ladder = ladder * math.log(scheme.alpha)
-    log_var = log_ladder + math.log(model.R0[u])
-    check_log_range(
-        (log_power, log_head, log_ladder, log_var, log_head + log_var),
+    return in_range(
         f"covariance_W(kappa={kappa}, tau={tau})",
+        lambda: model.ftilde_q ** t
+        * _f_tilde_ratio(model, kappa + s - 1, kappa - 1)
+        * (scheme.alpha ** ladder * float(model.R0[u])),
     )
-    var = scheme.alpha ** ladder * model.R0[u]
-    return float(model.ftilde_q ** t * ratio * var)
 
 
 @dataclass(frozen=True)
@@ -252,20 +240,14 @@ def covariance_V(
         raise BadIndex(f"tau must be >= 0, got {tau}")
     scheme = model.scheme
     ladder = 2 * n * scheme.T * scheme.H
-    # logs of ftilde**tau, the largest entry of base, alpha**ladder and the result
-    log_power = _log_pow(model.ftilde_q, tau)
-    log_base = log_power + log_abs(float(np.max(np.abs(model._rank_one))))
-    log_scale = ladder * math.log(scheme.alpha)
-    check_log_range(
-        (log_power, log_base, log_scale, log_scale + log_base),
+    matrix = arrays_in_range(
         f"covariance_V(n={n}, tau={tau})",
+        lambda: scheme.alpha ** ladder * (model.ftilde_q ** tau * model._rank_one),
     )
-    base = model.ftilde_q ** tau * model._rank_one
     if tau == 0:
         iu, jv = np.triu_indices(scheme.q, k=1)
-        base[iu, jv] = base[jv, iu]
-    scale = scheme.alpha ** ladder
-    return CovarianceMatrixResult(n=int(n), tau=int(tau), matrix=scale * base)
+        matrix[iu, jv] = matrix[jv, iu]
+    return CovarianceMatrixResult(n=int(n), tau=int(tau), matrix=matrix)
 
 
 def model_from_sbm(scheme: SamplingScheme) -> MarkovCovarianceModel:
@@ -288,15 +270,11 @@ def model_from_sbm(scheme: SamplingScheme) -> MarkovCovarianceModel:
     lam = scheme.scale
     hp = scheme.H - 0.5
     s = np.asarray(scheme.s, dtype=float)
-    # logs of the largest entries of R0 and R1 (s >= 1 bounds the powers)
-    log_band = hp * math.log(lam)
-    log_s = math.log(scheme.s[-1])
-    check_log_range(
-        (2 * log_band + log_s, 3 * log_band + log_s), "model_from_sbm summary"
-    )
-    R0 = lam ** (2 * hp) * s
+    R0 = arrays_in_range("model_from_sbm variances R0", lambda: lam ** (2 * hp) * s)
     R1 = R0.copy()
-    R1[-1] = lam ** (3 * hp) * s[-1]
+    R1[-1] = in_range(
+        "model_from_sbm wrap product R1[q-1]", lambda: lam ** (3 * hp) * scheme.s[-1]
+    )
     return MarkovCovarianceModel(scheme=scheme, R0=R0, R1=R1)
 
 

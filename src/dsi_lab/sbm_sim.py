@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SamplingScheme, check_log_range, sample_points, sample_time
-from .errors import BadIndex, NegativeKappa, RangeOverflow, RangeTooSmall
+from .core import SamplingScheme, arrays_in_range, in_range, sample_points, sample_time
+from .errors import BadIndex, NegativeKappa, RangeTooSmall
 
 _SEED_BOUND = 2 ** 64
 # paths per random stream; part of the stream contract, so changing it
@@ -98,13 +98,10 @@ def sbm_covariance_exact(scheme: SamplingScheme, kappa1: int, kappa2: int) -> fl
     hp = scheme.H - 0.5
     t_min = min(sample_time(scheme, kappa1), sample_time(scheme, kappa2))
     bands = int(kappa1) // scheme.q + int(kappa2) // scheme.q + 2
-    # logs of the band power and the result
-    log_power = bands * hp * math.log(lam)
-    check_log_range(
-        (log_power, log_power + math.log(t_min)),
+    return in_range(
         f"sbm_covariance_exact(kappa1={kappa1}, kappa2={kappa2})",
+        lambda: lam ** (bands * hp) * t_min,
     )
-    return lam ** (bands * hp) * t_min
 
 
 def _seed_value(seed) -> int:
@@ -180,17 +177,15 @@ def simulate_paths(
         gen = np.random.Generator(np.random.Philox(key=seed | b << 64))
         gen.standard_normal(out=z[lo:lo + _BLOCK_PATHS])
 
-    # in place: a temporary (P, K) array here measurably raises peak memory
-    with np.errstate(over="ignore", invalid="ignore"):
-        factors = lam ** (bands * hp)
-        z *= inc_std
+    def synthesize():
+        # in place: a temporary (P, K) array here measurably raises peak memory
+        np.multiply(z, inc_std, out=z)
         np.cumsum(z, axis=1, out=z)
-        z *= factors
-    if not np.isfinite(z).all():
-        raise RangeOverflow(
-            f"paths over kappa in [{kappa_min}, {kappa_max}] with H = {scheme.H} "
-            "leave double precision range"
-        )
+        return np.multiply(z, lam ** (bands * hp), out=z)
+
+    arrays_in_range(
+        f"paths over kappa in [{kappa_min}, {kappa_max}] with H = {scheme.H}", synthesize
+    )
 
     return PathEnsemble(
         scheme=scheme,

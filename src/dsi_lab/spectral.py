@@ -44,7 +44,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import SamplingScheme, check_log_range
+from .core import SamplingScheme, arrays_in_range
 from .errors import (
     BadInterval,
     GridTooCoarse,
@@ -253,7 +253,9 @@ def spectral_markov(model: MarkovCovarianceModel, omegas) -> SpectralEvaluation:
     with d = 1 / (1 - a e^{-iw}), a = ftilde(q-1) * alpha**(-T*H), the
     model's rank-one factor A[u, v] = ftilde(u-1) / ftilde(v-1) * R0[v] and
     conjugate-mirrored upper triangle.  An a that underflowed to 0 leaves
-    the lag-zero density K * A.  Frequencies must be finite (BadInterval).
+    the lag-zero density K * A.  Frequencies must be finite (BadInterval);
+    a density entry outside double range, as for large variances with a
+    stability ratio close to 1, raises RangeOverflow.
     """
     scheme = model.scheme
     if not model.stability_ratio < 1.0:
@@ -263,13 +265,17 @@ def spectral_markov(model: MarkovCovarianceModel, omegas) -> SpectralEvaluation:
     omegas = _omegas(omegas)
     A = model._rank_one
     a = model.ftilde_q * scheme.alpha ** (-scheme.T * scheme.H)
-    e = np.exp(-1j * omegas)
-    d = 1.0 / (1.0 - a * e)
-    # the second geometric sum, a * conj(e) / (1 - a * conj(e)) for real a
-    d2 = a * np.conj(e * d)
-    mats = _prefactor(scheme)[None, :, :] * (
-        A[None, :, :] * d[:, None, None] + A.T[None, :, :] * d2[:, None, None]
-    )
+
+    def density():
+        e = np.exp(-1j * omegas)
+        d = 1.0 / (1.0 - a * e)
+        # the second geometric sum, a * conj(e) / (1 - a * conj(e)) for real a
+        d2 = a * np.conj(e * d)
+        return _prefactor(scheme)[None, :, :] * (
+            A[None, :, :] * d[:, None, None] + A.T[None, :, :] * d2[:, None, None]
+        )
+
+    mats = arrays_in_range("spectral_markov density", density)
     return SpectralEvaluation(omegas=omegas, matrices=_mirror_upper(mats))
 
 
@@ -284,22 +290,26 @@ def spectral_sbm(scheme: SamplingScheme, omegas) -> SpectralEvaluation:
                          - s_u / (1 - e^{-iw} alpha**(T/2)) ),
 
     upper triangle conjugate-mirrored.  Frequencies must be finite
-    (BadInterval).
+    (BadInterval); a prefactor lam**(2 H') or density entry outside double
+    range raises RangeOverflow.
     """
     omegas = _omegas(omegas)
     s = np.asarray(scheme.s, dtype=float)
     lam = scheme.scale
     hp = scheme.H - 0.5
 
-    e = np.exp(-1j * omegas)
-    d1 = 1.0 / (1.0 - scheme.alpha ** (-scheme.T / 2.0) * e)
-    d2 = 1.0 / (1.0 - scheme.alpha ** (scheme.T / 2.0) * e)
-    K = _prefactor(scheme) * lam ** (2 * hp)
-    sv = np.broadcast_to(s[None, :], (scheme.q, scheme.q))
-    su = sv.T
-    mats = K[None, :, :] * (
-        sv[None, :, :] * d1[:, None, None] - su[None, :, :] * d2[:, None, None]
-    )
+    def density():
+        e = np.exp(-1j * omegas)
+        d1 = 1.0 / (1.0 - scheme.alpha ** (-scheme.T / 2.0) * e)
+        d2 = 1.0 / (1.0 - scheme.alpha ** (scheme.T / 2.0) * e)
+        K = _prefactor(scheme) * lam ** (2 * hp)
+        sv = np.broadcast_to(s[None, :], (scheme.q, scheme.q))
+        su = sv.T
+        return K[None, :, :] * (
+            sv[None, :, :] * d1[:, None, None] - su[None, :, :] * d2[:, None, None]
+        )
+
+    mats = arrays_in_range("spectral_sbm density", density)
     return SpectralEvaluation(omegas=omegas, matrices=_mirror_upper(mats))
 
 
@@ -350,16 +360,16 @@ def invert_spectrum(
         )
 
     tau_arr = np.array(taus)
-    # the rectangle-rule sums at all lags are one inverse FFT, read at tau mod M
-    raw = _TWO_PI * np.fft.ifft(evaluation.matrices, axis=0)[tau_arr % M]
-    # logs of alpha**(tau T H) (s_u s_v)**H and of the rescaled values (log 0 = -inf)
+    # log of the rescaling alpha**(tau T H) (s_u s_v)**H
     log_s = np.log(np.asarray(scheme.s, dtype=float))
     log_t = tau_arr * (scheme.T * math.log(scheme.alpha))
     log_scale = scheme.H * (log_t[:, None, None] + np.add.outer(log_s, log_s))
-    with np.errstate(divide="ignore"):
-        log_full = log_scale + np.log(np.abs(raw))
-    check_log_range((log_scale.max(), log_full.max()), "invert_spectrum rescaled lag matrices")
-    full = np.exp(log_scale) * raw
+    # the rectangle-rule sums at all lags are one inverse FFT, read at tau mod M
+    full = arrays_in_range(
+        "invert_spectrum rescaled lag matrices",
+        lambda: np.exp(log_scale)
+        * (_TWO_PI * np.fft.ifft(evaluation.matrices, axis=0)[tau_arr % M]),
+    )
     return CovarianceRecovery(
         taus=taus,
         matrices=full.real.copy(),

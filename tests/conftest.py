@@ -1,9 +1,14 @@
-"""Shared fixtures: canonical schemes and random stable model generation."""
+"""Shared fixtures: canonical schemes, random stable model generation and
+wide-range hypothesis strategies."""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
-from dsi_lab import MarkovCovarianceModel, SamplingScheme, validate_scheme
+from dsi_lab import DsiLabError, MarkovCovarianceModel, SamplingScheme, validate_scheme
 
 
 @pytest.fixture
@@ -53,3 +58,63 @@ def random_stable_model(
 @pytest.fixture
 def stable_model_factory():
     return random_stable_model
+
+
+@st.composite
+def wide_schemes(draw) -> SamplingScheme:
+    """Valid schemes over wide ranges: H up to 5, alpha up to 1e300, T up to
+    3000 with alpha**T in double range, and one to four offsets spread
+    log-uniformly over the cycle."""
+    H = draw(st.floats(min_value=0.01, max_value=5.0))
+    T = draw(st.integers(min_value=1, max_value=3000))
+    alpha = draw(
+        st.floats(min_value=1.0, max_value=min(1e300, math.exp(709.0 / T)), exclude_min=True)
+    )
+    fracs = draw(
+        st.lists(
+            st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+            max_size=3,
+            unique=True,
+        )
+    )
+    log_scale = T * math.log(alpha)
+    s = [1.0] + sorted(math.exp(f * log_scale) for f in fracs)
+    try:
+        return validate_scheme(H=H, alpha=alpha, T=T, s=s)
+    except DsiLabError:
+        # offsets that collide or round onto alpha**T
+        assume(False)
+
+
+_near_one = st.tuples(
+    st.sampled_from([-1.0, 1.0]), st.integers(min_value=1, max_value=15)
+).map(lambda p: p[0] * (1.0 - 10.0 ** -p[1]))
+
+
+@st.composite
+def wide_models(draw) -> tuple[SamplingScheme, list[float], list[float]]:
+    """Raw (scheme, R0, R1) summaries over wide ranges, for the model
+    constructor to accept or reject.
+
+    Variances span 1e-300..1e300.  One-step products sit at correlations
+    in [-1, 1], all near +-1 (the stability boundary) in a share of the
+    draws.  A product whose Cauchy-Schwarz bound is past double range is
+    clamped to a large finite value, which that bound admits.
+    """
+    scheme = draw(wide_schemes())
+    q = scheme.q
+    log_r0 = [x * math.log(10.0) for x in draw(
+        st.lists(st.floats(min_value=-300.0, max_value=300.0), min_size=q, max_size=q)
+    )]
+    rho = st.one_of(st.floats(min_value=-1.0, max_value=1.0), _near_one)
+    if draw(st.booleans()):
+        rho = _near_one
+    rhos = draw(st.lists(rho, min_size=q, max_size=q))
+    log_growth = scheme.T * scheme.H * math.log(scheme.alpha)
+    log_next = log_r0[1:] + [2.0 * log_growth + log_r0[0]]
+    R0 = [math.exp(x) for x in log_r0]
+    R1 = [
+        r * math.exp(min(0.5 * (a + b), 709.0))
+        for r, a, b in zip(rhos, log_r0, log_next)
+    ]
+    return scheme, R0, R1

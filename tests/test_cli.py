@@ -166,6 +166,17 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: RangeOverflow: ")
         assert not out.exists()
 
+    def test_density_overflow_exit_two(self, tmp_path, capsys):
+        # admissible and strictly stable, but the density at omega = 0 is
+        # about 1e300 / 5e-11, past the largest double
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text("R0 = 1e300,1e300\nR1 = 1e300,1.9999999999e300\n")
+        out = tmp_path / "s.csv"
+        assert run(["spectrum", "--config", str(cfg), "--omega-points", "8",
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: RangeOverflow: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsi_lab import (
     BadBase,
     BadIndex,
+    DsiLabError,
     NonIncreasingOffsets,
     OffsetOutOfRange,
     RangeOverflow,
@@ -19,7 +20,7 @@ from dsi_lab import (
     split_index,
     validate_scheme,
 )
-from conftest import make_scheme, random_scheme
+from conftest import make_scheme, random_scheme, wide_schemes
 
 
 class TestSplitIndex:
@@ -189,6 +190,19 @@ class TestSampleGeometry:
     def test_large_but_representable(self, canonical_scheme):
         t = sample_time(canonical_scheme, 2 * 1000)
         assert t == pytest.approx(2.0 ** 1000)
+
+    def test_small_but_representable(self, canonical_scheme):
+        # 2**-1023 is subnormal but above 1 / DBL_MAX, so it has not flushed
+        assert sample_time(canonical_scheme, -2046) == 2.0 ** -1023
+
+    @settings(max_examples=100, deadline=None)
+    @given(scheme=wide_schemes(), kappa=st.integers(min_value=-5000, max_value=5000))
+    def test_sample_time_finite_or_error(self, scheme, kappa):
+        try:
+            t = sample_time(scheme, kappa)
+        except DsiLabError:
+            return
+        assert math.isfinite(t) and t > 0.0
 
     def test_scheme_with_wide_cycle(self):
         sch = make_scheme(H=0.7, alpha=3.0, T=2, s=(1.0, 4.0, 8.5))

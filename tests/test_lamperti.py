@@ -82,6 +82,11 @@ class TestQuasiLamperti:
         y = StationaryGrid(times=[0.0, 1.5e3], values=[1.0, 1.0])
         with pytest.raises(RangeOverflow):
             quasi_lamperti(y, H=1.0, alpha=2.0)
+        # a point 2**-1500, or an envelope (2**-400)**3, flushes towards zero
+        for times, H in (([-1500.0, 0.0], 1.0), ([-400.0, 0.0], 3.0)):
+            y = StationaryGrid(times=times, values=[1.0, 1.0])
+            with pytest.raises(RangeOverflow):
+                quasi_lamperti(y, H=H, alpha=2.0)
 
     def test_value_overflow_guard(self):
         # the envelope 2**40 is in range, 2**40 * 1e300 is not

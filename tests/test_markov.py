@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from dsi_lab import (
     BadIndex,
+    DsiLabError,
     InvalidModel,
     MarkovCovarianceModel,
     ModelUnstable,
@@ -22,7 +23,7 @@ from dsi_lab import (
     sbm_covariance_exact,
     validate_scheme,
 )
-from conftest import make_scheme, random_stable_model
+from conftest import make_scheme, random_stable_model, wide_models, wide_schemes
 
 SQRT2 = math.sqrt(2.0)
 
@@ -30,6 +31,11 @@ SQRT2 = math.sqrt(2.0)
 @pytest.fixture
 def canonical_model(canonical_scheme):
     return model_from_sbm(canonical_scheme)
+
+
+def build(drawn) -> MarkovCovarianceModel:
+    scheme, R0, R1 = drawn
+    return MarkovCovarianceModel(scheme=scheme, R0=R0, R1=R1)
 
 
 class TestFTilde:
@@ -80,6 +86,15 @@ class TestFTilde:
         with pytest.raises(RangeOverflow):
             f_tilde(tiny, -3)
 
+    @settings(max_examples=75, deadline=None)
+    @given(drawn=wide_models(), r=st.integers(min_value=-5000, max_value=5000))
+    def test_finite_or_error(self, drawn, r):
+        try:
+            value = f_tilde(build(drawn), r)
+        except DsiLabError:
+            return
+        assert math.isfinite(value)
+
     def test_reference_model_cycle_product(self):
         for H in (0.5, 0.75, 1.0, 1.25):
             sch = make_scheme(H=H)
@@ -118,6 +133,26 @@ class TestModelConstruction:
         model = MarkovCovarianceModel(scheme=sch, R0=[1.0] * 3, R1=[1e-150] * 3)
         for tau in (0, 1):
             assert np.isfinite(covariance_V(model, 0, tau).matrix).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(drawn=wide_models())
+    def test_construction_finite_or_error(self, drawn):
+        try:
+            model = build(drawn)
+        except DsiLabError:
+            return
+        assert 0.0 <= model.stability_ratio < 1.0
+        assert np.isfinite(model._rank_one).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(scheme=wide_schemes())
+    def test_reference_summary_finite_or_error(self, scheme):
+        try:
+            model = model_from_sbm(scheme)
+        except DsiLabError:
+            return
+        assert np.isfinite(model.R0).all() and np.isfinite(model.R1).all()
+        assert model.stability_ratio < 1.0
 
     def test_reference_summary_h_half(self):
         model = model_from_sbm(make_scheme(H=0.5))
@@ -263,6 +298,19 @@ class TestCovarianceW:
         with pytest.raises(RangeOverflow):
             covariance_W(canonical_model, 0, 100000)
 
+    @settings(max_examples=75, deadline=None)
+    @given(
+        drawn=wide_models(),
+        kappa=st.integers(min_value=0, max_value=5000),
+        tau=st.integers(min_value=-5000, max_value=5000),
+    )
+    def test_finite_or_error(self, drawn, kappa, tau):
+        try:
+            value = covariance_W(build(drawn), kappa, tau)
+        except DsiLabError:
+            return
+        assert math.isfinite(value)
+
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
@@ -377,6 +425,19 @@ class TestCovarianceV:
         assert covariance_V(model, 0, 0).matrix[1, 1] == pytest.approx(1.0)
         assert covariance_W(model, 1, 0) == 1.0
         assert covariance_W(model, 0, 5) == 0.0
+
+    @settings(max_examples=75, deadline=None)
+    @given(
+        drawn=wide_models(),
+        n=st.integers(min_value=-3000, max_value=3000),
+        tau=st.integers(min_value=0, max_value=5000),
+    )
+    def test_finite_or_error(self, drawn, n, tau):
+        try:
+            matrix = covariance_V(build(drawn), n, tau).matrix
+        except DsiLabError:
+            return
+        assert np.isfinite(matrix).all()
 
     def test_result_carries_indices(self, canonical_model):
         res = covariance_V(canonical_model, -2, 3)

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsi_lab import (
     BadIndex,
+    DsiLabError,
     NegativeKappa,
     RangeOverflow,
     RangeTooSmall,
@@ -18,7 +21,7 @@ from dsi_lab import (
     sbm_covariance_exact,
     simulate_paths,
 )
-from conftest import make_scheme, random_scheme
+from conftest import make_scheme, random_scheme, wide_schemes
 
 SQRT2 = math.sqrt(2.0)
 
@@ -75,6 +78,19 @@ class TestExactCovariance:
         for kappa in (1024, 1100):
             with pytest.raises(RangeOverflow):
                 sbm_covariance_exact(canonical_scheme, kappa, kappa)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        scheme=wide_schemes(),
+        kappa1=st.integers(min_value=0, max_value=5000),
+        kappa2=st.integers(min_value=0, max_value=5000),
+    )
+    def test_finite_or_error(self, scheme, kappa1, kappa2):
+        try:
+            value = sbm_covariance_exact(scheme, kappa1, kappa2)
+        except DsiLabError:
+            return
+        assert math.isfinite(value)
 
     def test_negative_index_rejected(self, canonical_scheme):
         with pytest.raises(NegativeKappa):

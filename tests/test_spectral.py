@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from dsi_lab import (
     BadInterval,
+    DsiLabError,
     GridTooCoarse,
     MarkovCovarianceModel,
     ModelUnstable,
@@ -26,10 +27,15 @@ from dsi_lab import (
     spectral_markov,
     spectral_sbm,
     spectral_series,
+    validate_scheme,
 )
-from conftest import make_scheme, random_stable_model
+from conftest import make_scheme, random_stable_model, wide_models, wide_schemes
 
 TWO_PI = 2.0 * math.pi
+
+finite_omegas = st.lists(
+    st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=4
+)
 
 
 def uniform_grid(M: int) -> np.ndarray:
@@ -517,6 +523,56 @@ class TestFrequencyAndRangeGuards:
         ref = spectral_sbm(sch, omegas).matrices
         assert np.isfinite(markov).all() and np.isfinite(ref).all()
         assert np.max(np.abs(markov - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_markov_density_past_double_range(self, canonical_scheme):
+        # admissible and strictly stable (ratio 0.99999999995), but at
+        # omega = 0 the density is about 1e300 / 5e-11, past the largest double
+        model = MarkovCovarianceModel(
+            scheme=canonical_scheme, R0=[1e300, 1e300], R1=[1e300, 1.9999999999e300]
+        )
+        assert model.stability_ratio < 1.0
+        with pytest.raises(RangeOverflow):
+            spectral_markov(model, uniform_grid(8))
+
+    def test_sbm_prefactor_past_double_range(self):
+        # lam**(2 H') = 2**2000
+        sch = validate_scheme(H=1.5, alpha=2.0, T=1000, s=(1.0, 1.5))
+        with pytest.raises(RangeOverflow):
+            spectral_sbm(sch, [0.0])
+
+    @settings(max_examples=75, deadline=None)
+    @given(drawn=wide_models(), omegas=finite_omegas)
+    def test_markov_finite_or_error(self, drawn, omegas):
+        scheme, R0, R1 = drawn
+        try:
+            ev = spectral_markov(MarkovCovarianceModel(scheme=scheme, R0=R0, R1=R1), omegas)
+        except DsiLabError:
+            return
+        assert np.isfinite(ev.matrices).all()
+
+    @settings(max_examples=75, deadline=None)
+    @given(scheme=wide_schemes(), omegas=finite_omegas)
+    def test_sbm_finite_or_error(self, scheme, omegas):
+        try:
+            ev = spectral_sbm(scheme, omegas)
+        except DsiLabError:
+            return
+        assert np.isfinite(ev.matrices).all()
+
+    @settings(max_examples=75, deadline=None)
+    @given(
+        drawn=wide_models(),
+        M=st.integers(min_value=4, max_value=64),
+        taus=st.lists(st.integers(min_value=-16, max_value=16), min_size=1, max_size=4),
+    )
+    def test_inversion_finite_or_error(self, drawn, M, taus):
+        scheme, R0, R1 = drawn
+        try:
+            model = MarkovCovarianceModel(scheme=scheme, R0=R0, R1=R1)
+            rec = invert_spectrum(spectral_markov(model, uniform_grid(M)), scheme, taus)
+        except DsiLabError:
+            return
+        assert np.isfinite(rec.matrices).all() and math.isfinite(rec.imag_residue)
 
 
 class TestSpectralEvaluation:
