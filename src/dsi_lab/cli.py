@@ -1,6 +1,7 @@
 """Command line front end.
 
-Five subcommands over one flat configuration surface:
+Five subcommands, the ``cmd_*`` functions of ``_DISPATCH``, over one flat
+configuration surface:
 
 - ``simulate``: draw reference-process paths, write the ensemble as CSV.
 - ``covariance``: write block covariance matrices Q(0, tau) as CSV.
@@ -8,18 +9,20 @@ Five subcommands over one flat configuration surface:
 - ``invert``: recover covariances from the density, write them as CSV.
 - ``verify``: run the full cross-check suite and write a pass/fail report.
 
-Configuration comes from an optional ``key=value`` file (one pair per
-line, ``#`` comments allowed) overridden by command line flags.  Every
-data table is formatted block by block (one block per path, tau or omega)
-through one row template per table; ``verify``'s two small tables are
-written row by row.  A large table is split into contiguous parts of
-blocks, one per CPU the process may use: this process writes the first
-part while one forked worker per other part formats it into a pipe, and
-the pipes are copied into the file in part order, so the output bytes do
-not depend on the CPU count.  Floats are written in shortest round-trip
-form and the simulator draws each block of 4096 paths from one
-counter-based stream keyed by (seed, block), so repeated runs of one
-configuration produce byte-identical files.
+Every setting is one row of ``_SETTINGS``: parser, default and flag help.
+A value comes from an optional ``key=value`` file (one pair per line, ``#``
+comments allowed) or from its flag, which wins; ``q``, ``R0`` and ``R1``
+have no flag.  Each value is parsed once, and a malformed one from either
+place is a ConfigError.  Every data table is formatted block by block (one
+block per path, tau or omega) through one row template per table;
+``verify``'s two small tables are written row by row.  A large table is
+split into contiguous parts of blocks, one per CPU the process may use:
+this process writes the first part while one forked worker per other part
+formats it into a pipe, and the pipes are copied into the file in part
+order, so the output bytes do not depend on the CPU count.  Floats are
+written in shortest round-trip form and the simulator draws each block of
+4096 paths from one counter-based stream keyed by (seed, block), so
+repeated runs of one configuration produce byte-identical files.
 
 Exit codes: 0 success (verify: all checks passed), 1 verify check failed,
 2 configuration or domain error, 3 unstable model, 4 I/O failure.
@@ -49,11 +52,6 @@ from .markov_cov import (
 from .sbm_sim import PathEnsemble, estimate_R, sbm_covariance_exact, simulate_paths
 from .spectral import invert_spectrum, markov_covfn, spectral_markov, spectral_sbm, spectral_series
 
-_COMMANDS = ("simulate", "covariance", "spectrum", "invert", "verify")
-_CONFIG_KEYS = (
-    "H", "alpha", "T", "q", "s", "R0", "R1",
-    "paths", "seed", "tau_max", "omega_points", "tol", "out",
-)
 _DEFAULT_OUT = {
     "simulate": "ensemble.csv",
     "covariance": "covariance.csv",
@@ -69,6 +67,30 @@ _MIN_PART_VALUES = 25_000
 # values converted and formatted per string handed to the file or pipe; this
 # bounds the Python floats and lists alive at once, and so the peak memory
 _CHUNK_VALUES = 16_384
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    # empty items are skipped, so "1,1.5," lists two values
+    return tuple(float(part) for part in text.split(",") if part.strip() != "")
+
+
+# key: (parser, default, flag help); a help of None marks a key that only a
+# config file can set.  The flag of a key is --<key> with - for _.
+_SETTINGS = {
+    "H": (float, 1.0, "self-similarity index, > 0"),
+    "alpha": (float, 2.0, "scale base, > 1"),
+    "T": (int, 1, "cycle width, integer >= 1"),
+    "q": (int, None, None),
+    "s": (_floats, (1.0, 1.5), "comma-separated offsets, e.g. 1,1.5"),
+    "R0": (_floats, None, None),
+    "R1": (_floats, None, None),
+    "paths": (int, 20000, "number of Monte Carlo paths"),
+    "seed": (int, 42, "ensemble seed (64-bit unsigned)"),
+    "tau_max": (int, 4, "largest block lag"),
+    "omega_points": (int, 256, "frequency grid size"),
+    "tol": (float, 1e-10, "series truncation tolerance"),
+    "out": (str, None, "output file path"),
+}
 
 
 @dataclass(frozen=True)
@@ -87,122 +109,78 @@ class RunConfig:
     out: str
 
 
-def _parse_float_list(text: str, key: str) -> tuple[float, ...]:
-    try:
-        items = tuple(float(part) for part in text.split(",") if part.strip() != "")
-    except ValueError:
-        raise ConfigError(f"{key} must be a comma-separated float list, got {text!r}")
-    if not items:
-        raise ConfigError(f"{key} must list at least one value, got {text!r}")
-    return items
-
-
-def _parse_scalar(text: str, key: str, kind):
-    try:
-        return kind(text)
-    except ValueError:
-        raise ConfigError(f"{key} must be a {kind.__name__}, got {text!r}")
-
-
 def read_config_file(path: str) -> dict[str, str]:
     """Parse a flat key=value config file; unknown keys are rejected."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})")
     pairs: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in pairs:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            pairs[key] = value
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _SETTINGS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in pairs:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        pairs[key] = value
     return pairs
 
 
 def build_config(command: str, args: argparse.Namespace) -> RunConfig:
-    """Merge config file and flags (flags win), validate, materialize."""
-    raw = read_config_file(args.config) if args.config else {}
+    """Merge config file and flags (flags win), parse each value once, validate."""
+    texts = read_config_file(args.config) if args.config else {}
+    texts.update(
+        (key, text) for key, text in vars(args).items() if key in _SETTINGS and text is not None
+    )
+    values = {}
+    for key, (parse, default, _) in _SETTINGS.items():
+        text = texts.get(key)
+        try:
+            values[key] = default if text is None else parse(text)
+        except ValueError:
+            kind = "comma-separated float list" if parse is _floats else parse.__name__
+            raise ConfigError(f"{key} must be a {kind}, got {text!r}")
+        if values[key] == ():
+            raise ConfigError(f"{key} must list at least one value, got {text!r}")
 
-    def pick(key: str, flag_value):
-        return flag_value if flag_value is not None else raw.get(key)
+    if values["q"] is not None and values["q"] != len(values["s"]):
+        raise ConfigError(f"q = {values['q']} does not match the {len(values['s'])} offsets in s")
+    scheme = validate_scheme(**{key: values.pop(key) for key in ("H", "alpha", "T", "s", "q")})
 
-    H = pick("H", args.H)
-    alpha = pick("alpha", args.alpha)
-    T = pick("T", args.T)
-    s_text = args.s if args.s is not None else raw.get("s")
-
-    H = 1.0 if H is None else _parse_scalar(str(H), "H", float)
-    alpha = 2.0 if alpha is None else _parse_scalar(str(alpha), "alpha", float)
-    T = 1 if T is None else _parse_scalar(str(T), "T", int)
-    s = (1.0, 1.5) if s_text is None else _parse_float_list(str(s_text), "s")
-
-    q = None
-    if "q" in raw:
-        q = _parse_scalar(raw["q"], "q", int)
-        if q != len(s):
-            raise ConfigError(f"q = {q} does not match the {len(s)} offsets in s")
-    scheme = validate_scheme(H=H, alpha=alpha, T=T, s=s, q=q)
-
-    R0 = R1 = None
-    if "R0" in raw or "R1" in raw:
+    R0, R1 = values["R0"], values["R1"]
+    if R0 is not None or R1 is not None:
         if command in ("simulate", "verify"):
             raise ConfigError(
                 f"{command} is tied to the reference process; R0/R1 overrides "
                 "apply to covariance, spectrum and invert only"
             )
-        if not ("R0" in raw and "R1" in raw):
+        if R0 is None or R1 is None:
             raise ConfigError("R0 and R1 must be given together")
-        R0 = _parse_float_list(raw["R0"], "R0")
-        R1 = _parse_float_list(raw["R1"], "R1")
         if len(R0) != scheme.q or len(R1) != scheme.q:
             raise ConfigError(
                 f"R0 and R1 must each have q = {scheme.q} entries, "
                 f"got {len(R0)} and {len(R1)}"
             )
 
-    paths = pick("paths", args.paths)
-    seed = pick("seed", args.seed)
-    tau_max = pick("tau_max", getattr(args, "tau_max", None))
-    omega_points = pick("omega_points", getattr(args, "omega_points", None))
-    tol = pick("tol", getattr(args, "tol", None))
-    out = pick("out", args.out)
-
-    paths = 20000 if paths is None else _parse_scalar(str(paths), "paths", int)
-    seed = 42 if seed is None else _parse_scalar(str(seed), "seed", int)
-    tau_max = 4 if tau_max is None else _parse_scalar(str(tau_max), "tau_max", int)
-    omega_points = (
-        256 if omega_points is None else _parse_scalar(str(omega_points), "omega_points", int)
-    )
-    tol = 1e-10 if tol is None else _parse_scalar(str(tol), "tol", float)
-    out = _DEFAULT_OUT[command] if out is None else str(out)
-
-    if paths < 1:
-        raise ConfigError(f"paths must be >= 1, got {paths}")
-    if tau_max < 0:
-        raise ConfigError(f"tau_max must be >= 0, got {tau_max}")
-    if omega_points < 2:
-        raise ConfigError(f"omega_points must be >= 2, got {omega_points}")
-    if tol <= 0:
-        raise ConfigError(f"tol must be > 0, got {tol}")
-    if not (0 <= seed < 2 ** 64):
-        raise ConfigError(f"seed must be a 64-bit unsigned integer, got {seed}")
-
-    return RunConfig(
-        command=command,
-        scheme=scheme,
-        R0=R0,
-        R1=R1,
-        paths=paths,
-        seed=seed,
-        tau_max=tau_max,
-        omega_points=omega_points,
-        tol=tol,
-        out=out,
-    )
+    if values["paths"] < 1:
+        raise ConfigError(f"paths must be >= 1, got {values['paths']}")
+    if values["tau_max"] < 0:
+        raise ConfigError(f"tau_max must be >= 0, got {values['tau_max']}")
+    if values["omega_points"] < 2:
+        raise ConfigError(f"omega_points must be >= 2, got {values['omega_points']}")
+    if not values["tol"] > 0:
+        raise ConfigError(f"tol must be > 0, got {values['tol']}")
+    if not (0 <= values["seed"] < 2 ** 64):
+        raise ConfigError(f"seed must be a 64-bit unsigned integer, got {values['seed']}")
+    if values["out"] is None:
+        values["out"] = _DEFAULT_OUT[command]
+    return RunConfig(command=command, scheme=scheme, **values)
 
 
 def _build_model(cfg: RunConfig) -> MarkovCovarianceModel:
@@ -336,6 +314,7 @@ def _simulate(cfg: RunConfig) -> PathEnsemble:
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
+    """draw reference-process paths and write the ensemble CSV"""
     q = cfg.scheme.q
     ensemble = _simulate(cfg)
     # one block per path; kappa, n, u and time are the same in every block
@@ -350,6 +329,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def cmd_covariance(cfg: RunConfig) -> int:
+    """write block covariance matrices as CSV"""
     model = _build_model(cfg)
     taus = range(cfg.tau_max + 1)
     mats = np.stack([covariance_V(model, 0, tau).matrix for tau in taus])
@@ -359,6 +339,7 @@ def cmd_covariance(cfg: RunConfig) -> int:
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
+    """write the spectral density matrix on a uniform grid"""
     model = _build_model(cfg)
     ev = spectral_markov(model, _uniform_grid(cfg.omega_points))
     rows = _write_blocks(
@@ -370,6 +351,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 
 def cmd_invert(cfg: RunConfig) -> int:
+    """recover covariances from the density and write them"""
     model = _build_model(cfg)
     ev = spectral_markov(model, _uniform_grid(cfg.omega_points))
     rec = invert_spectrum(ev, cfg.scheme, list(range(cfg.tau_max + 1)))
@@ -499,14 +481,8 @@ def _verify_checks(cfg: RunConfig):
     return checks, estimates_rows
 
 
-def _estimates_path(report_path: str) -> str:
-    stem, dot, ext = report_path.rpartition(".")
-    if not dot:
-        return report_path + "_estimates"
-    return f"{stem}_estimates.{ext}"
-
-
 def cmd_verify(cfg: RunConfig) -> int:
+    """run the cross-check suite and write a report"""
     checks, estimates_rows = _verify_checks(cfg)
     lines = ["check_name,status,observed,expected,tolerance"]
     for c in checks:
@@ -514,7 +490,8 @@ def cmd_verify(cfg: RunConfig) -> int:
         lines.append(f"{c.name},{status},{float(c.observed)!r},{c.expected!r},{c.tolerance!r}")
         print(f"{status:4s} {c.name}: observed {c.observed:.3e} (tol {c.tolerance:.1e})")
     _write_lines(cfg.out, lines)
-    est_path = _estimates_path(cfg.out)
+    stem, ext = os.path.splitext(cfg.out)
+    est_path = f"{stem}_estimates{ext}"
     _write_lines(est_path, ["j_or_uv,lag,estimate,std_error,analytic,z_score"] + estimates_rows)
     n_fail = sum(not c.passed for c in checks)
     print(f"report: {cfg.out}; estimates: {est_path}")
@@ -525,20 +502,13 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="key=value configuration file")
-    sub.add_argument("--out", help="output file path")
-    sub.add_argument("--seed", type=int, help="ensemble seed (64-bit unsigned)")
-    sub.add_argument("--alpha", type=float, help="scale base, > 1")
-    sub.add_argument("--T", type=int, help="cycle width, integer >= 1")
-    sub.add_argument("--H", type=float, help="self-similarity index, > 0")
-    sub.add_argument("--s", help="comma-separated offsets, e.g. 1,1.5")
-    sub.add_argument("--paths", type=int, help="number of Monte Carlo paths")
-    sub.add_argument("--tau-max", dest="tau_max", type=int, help="largest block lag")
-    sub.add_argument(
-        "--omega-points", dest="omega_points", type=int, help="frequency grid size"
-    )
-    sub.add_argument("--tol", type=float, help="series truncation tolerance")
+_DISPATCH = {
+    "simulate": cmd_simulate,
+    "covariance": cmd_covariance,
+    "spectrum": cmd_spectrum,
+    "invert": cmd_invert,
+    "verify": cmd_verify,
+}
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -548,25 +518,13 @@ def make_parser() -> argparse.ArgumentParser:
         "scale-invariant processes on geometric sampling grids",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "simulate": "draw reference-process paths and write the ensemble CSV",
-        "covariance": "write block covariance matrices as CSV",
-        "spectrum": "write the spectral density matrix on a uniform grid",
-        "invert": "recover covariances from the density and write them",
-        "verify": "run the cross-check suite and write a report",
-    }
-    for name in _COMMANDS:
-        _add_common_flags(subs.add_parser(name, help=helps[name]))
+    for name, command in _DISPATCH.items():
+        sub = subs.add_parser(name, help=command.__doc__)
+        sub.add_argument("--config", help="key=value configuration file")
+        for key, (_, _, flag_help) in _SETTINGS.items():
+            if flag_help is not None:
+                sub.add_argument("--" + key.replace("_", "-"), help=flag_help)
     return parser
-
-
-_DISPATCH = {
-    "simulate": cmd_simulate,
-    "covariance": cmd_covariance,
-    "spectrum": cmd_spectrum,
-    "invert": cmd_invert,
-    "verify": cmd_verify,
-}
 
 
 def main(argv: list[str] | None = None) -> int:

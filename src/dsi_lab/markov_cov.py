@@ -287,7 +287,8 @@ def doob_factorization(
     (each must be >= 0), normalized by Hfac = ftilde(kappa - 1) so that
     Hfac(0) = 1 and G(kappa) = R_kappa(0) / Hfac(kappa).  For a wide-sense
     Markov sequence with nonnegative ratios the quotient G / Hfac is
-    nondecreasing in kappa.
+    nondecreasing in kappa.  RangeOverflow is raised when a factor leaves
+    double range, as G does where Hfac underflowed to 0.
     """
     kappas = [int(k) for k in kappa_range]
     for k in kappas:
@@ -295,4 +296,4 @@ def doob_factorization(
             raise NegativeKappa(f"kappa must be >= 0, got {k}")
     hfac = np.array([f_tilde(model, k - 1) for k in kappas])
     var = np.array([covariance_W(model, k, 0) for k in kappas])
-    return var / hfac, hfac
+    return arrays_in_range("doob_factorization G", lambda: var / hfac), hfac

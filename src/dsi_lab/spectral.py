@@ -388,7 +388,8 @@ def spectral_distribution_interval(b, lo: float, hi: float) -> complex:
 
     which for a summable sequence converges to the integral of the density
     over the interval; the full circle [0, 2 pi) returns exactly B(0).
-    Endpoints must satisfy 0 <= lo < hi <= 2 pi.
+    Endpoints must satisfy 0 <= lo < hi <= 2 pi and the coefficients must be
+    finite (BadInterval); a mass outside double range raises RangeOverflow.
     """
     b = np.asarray(b)
     if b.ndim != 1 or b.size % 2 != 1 or b.size < 3:
@@ -400,11 +401,16 @@ def spectral_distribution_interval(b, lo: float, hi: float) -> complex:
         raise BadInterval(
             f"interval must satisfy 0 <= lo < hi <= 2*pi, got [{lo}, {hi})"
         )
+    if not np.isfinite(b).all():
+        raise BadInterval("coefficients must be finite")
     N = b.size // 2
     tau = np.concatenate([np.arange(-N, 0), np.arange(1, N + 1)])
     coeff = np.concatenate([b[:N], b[N + 1:]])
     kernel = (np.exp(-1j * hi * tau) - np.exp(-1j * lo * tau)) / (-1j * tau)
-    mass = (hi - lo) / _TWO_PI * b[N] + (coeff * kernel).sum() / _TWO_PI
+    mass = arrays_in_range(
+        "spectral_distribution_interval mass",
+        lambda: (hi - lo) / _TWO_PI * b[N] + (coeff * kernel).sum() / _TWO_PI,
+    )
     return complex(mass)
 
 

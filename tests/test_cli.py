@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from dsi_lab import cli, covariance_V, model_from_sbm, validate_scheme
+from dsi_lab import DsiLabError, cli, covariance_V, model_from_sbm, validate_scheme
 from dsi_lab.cli import main
 
 
@@ -46,6 +46,16 @@ def read_rows(path):
     lines = path.read_text().strip().split("\n")
     header = lines[0].split(",")
     return header, [line.split(",") for line in lines[1:]]
+
+
+# the settings that have a flag, and values for them: numbers, lists and
+# malformed text, never NaN (which no RunConfig equals)
+FLAGGED_KEYS = [key for key, (_, _, flag_help) in cli._SETTINGS.items() if flag_help]
+SETTING_TEXTS = st.one_of(
+    st.integers(min_value=-5, max_value=30000).map(str),
+    st.floats(allow_nan=False).map(repr),
+    st.sampled_from(["1,1.5", "1, 2.5,3,", "tall", ",", "1.5", "1e400", "out.csv"]),
+)
 
 
 class TestConfigHandling:
@@ -139,9 +149,54 @@ class TestConfigHandling:
                     "--out", str(tmp_path / "y.csv")]) == 2
         assert run(["covariance", "--paths", "0",
                     "--out", str(tmp_path / "z.csv")]) == 2
+        assert run(["covariance", "--tol", "nan",
+                    "--out", str(tmp_path / "w.csv")]) == 2
+        assert not (tmp_path / "w.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv", [["covariance", "--T", "1.5"], ["simulate", "--seed", "abc"]],
+        ids=["T", "seed"],
+    )
+    def test_malformed_flag_is_config_error(self, capsys, argv):
+        # the same path as a malformed file value: an exit code, not SystemExit
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ConfigError: ")
+
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"H = 1\xff\n")
+        assert run(["covariance", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: ") and str(cfg) in err
 
     def test_missing_config_file_is_io_error(self, tmp_path, capsys):
         assert run(["covariance", "--config", str(tmp_path / "absent.cfg")]) == 4
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        settings_text=st.dictionaries(
+            st.sampled_from(FLAGGED_KEYS), SETTING_TEXTS, min_size=1, max_size=4
+        )
+    )
+    def test_flag_and_file_agree(self, tmp_path, settings_text):
+        # one value, set by flag or by config-file line: the same RunConfig,
+        # or the same error
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text("".join(f"{key} = {text}\n" for key, text in settings_text.items()))
+        flags = [f"--{key.replace('_', '-')}={text}" for key, text in settings_text.items()]
+        parser = cli.make_parser()
+        results = []
+        for argv in (flags, ["--config", str(cfg)]):
+            args = parser.parse_args(["covariance", *argv])
+            try:
+                results.append(cli.build_config("covariance", args))
+            except DsiLabError as exc:
+                results.append((type(exc), str(exc)))
+        assert results[0] == results[1]
 
 
 class TestExitCodes:
@@ -364,7 +419,7 @@ def cli_argv(draw):
     from its wide range, and small size flags: no table reaches the
     forking threshold.  Each flag is one --name=value token, so that a
     value like -1e+300 is not read as a flag."""
-    argv = [draw(st.sampled_from(cli._COMMANDS))]
+    argv = [draw(st.sampled_from(tuple(cli._DISPATCH)))]
     wide = draw(st.sampled_from([None, *SCHEME_FLAGS]))
     for name, (usual, wide_values) in SCHEME_FLAGS.items():
         if name == wide or draw(st.booleans()):
@@ -483,6 +538,13 @@ class TestVerify:
         for r in erows:
             z = (float(r[2]) - float(r[4])) / float(r[3])
             assert z == pytest.approx(float(r[5]), rel=1e-12)
+
+    def test_estimates_next_to_report_in_dotted_directory(self, tmp_path, capsys):
+        # the estimates name splits the file name's extension, not the path's
+        report = tmp_path / "x.d" / "report"
+        report.parent.mkdir()
+        assert run(["verify", "--paths", "4000", "--seed", "11", "--out", str(report)]) == 0
+        assert (tmp_path / "x.d" / "report_estimates").is_file()
 
     def test_verify_outputs_byte_identical(self, tmp_path, capsys):
         r1 = tmp_path / "a" / "report.csv"

@@ -472,3 +472,24 @@ class TestDoobFactorization:
     def test_negative_kappa_rejected(self, canonical_model):
         with pytest.raises(NegativeKappa):
             doob_factorization(canonical_model, [-1, 0, 1])
+
+    def test_underflowed_factor_past_double_range(self, canonical_scheme):
+        # ftilde(1) = 1e-400 underflows to 0, so G(2) = R_2(0) / ftilde(1)
+        # is no double
+        model = MarkovCovarianceModel(
+            scheme=canonical_scheme, R0=[1.0, 1.0], R1=[1e-200, 1e-200]
+        )
+        with pytest.raises(RangeOverflow):
+            doob_factorization(model, range(5))
+
+    @settings(max_examples=75, deadline=None)
+    @given(
+        drawn=wide_models(),
+        kappas=st.lists(st.integers(min_value=0, max_value=5000), min_size=1, max_size=4),
+    )
+    def test_finite_or_error(self, drawn, kappas):
+        try:
+            G, Hfac = doob_factorization(build(drawn), kappas)
+        except DsiLabError:
+            return
+        assert np.isfinite(G).all() and np.isfinite(Hfac).all()

@@ -478,6 +478,31 @@ class TestDistributionInterval:
         with pytest.raises(BadInterval):
             spectral_distribution_interval(np.ones(4), 0.0, 1.0)
 
+    def test_non_finite_coefficients_rejected(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(BadInterval):
+                spectral_distribution_interval(np.array([0.5, bad, 0.5]), 0.0, 1.0)
+
+    def test_mass_past_double_range(self):
+        # each lag term B(tau) * kernel(tau), tau = -1 and 1, is 3.4e308
+        with pytest.raises(RangeOverflow):
+            spectral_distribution_interval(np.full(3, 1.7e308), 0.0, math.pi)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        b=st.integers(min_value=1, max_value=4).flatmap(
+            lambda n: st.lists(st.floats(), min_size=2 * n + 1, max_size=2 * n + 1)
+        ),
+        lo=st.floats(),
+        hi=st.floats(),
+    )
+    def test_finite_or_error(self, b, lo, hi):
+        try:
+            mass = spectral_distribution_interval(np.array(b), lo, hi)
+        except DsiLabError:
+            return
+        assert math.isfinite(mass.real) and math.isfinite(mass.imag)
+
 
 class TestFrequencyAndRangeGuards:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
