@@ -14,7 +14,9 @@ A value comes from an optional ``key=value`` file (one pair per line, ``#``
 comments allowed) or from its flag, which wins; ``q``, ``R0`` and ``R1``
 have no flag.  Each value is parsed once, and a malformed one from either
 place is a ConfigError.  Every data table is formatted block by block (one
-block per path, tau or omega) through one row template per table;
+block per path, tau or omega) by one formatter: each key and value goes
+through ``repr`` once, and a chunk's rows are joined from an object array
+of those strings and the fixed prefix, comma and newline pieces;
 ``verify``'s two small tables are written row by row.  A large table is
 split into contiguous parts of blocks, one per CPU the process may use:
 this process writes the first part while one forked worker per other part
@@ -65,7 +67,8 @@ _VERIFY_INVERT_M = 16384
 # values, so tables below twice this size never fork
 _MIN_PART_VALUES = 25_000
 # values converted and formatted per string handed to the file or pipe; this
-# bounds the Python floats and lists alive at once, and so the peak memory
+# bounds the Python floats, strings and object arrays alive at once, and so
+# the peak memory
 _CHUNK_VALUES = 16_384
 
 
@@ -112,7 +115,7 @@ class RunConfig:
 def read_config_file(path: str) -> dict[str, str]:
     """Parse a flat key=value config file; unknown keys are rejected."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})")
@@ -200,18 +203,31 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _format_blocks(row_format, keys, flat, lo: int, hi: int):
+def _format_blocks(keys, prefixes: list[str], flat, lo: int, hi: int):
     """Yield the encoded rows of blocks lo..hi-1, about _CHUNK_VALUES values at a time.
 
-    Each key is formatted once per block, not once per row.
+    Each chunk is one ``(blocks, rows, pieces)`` object array of strings,
+    joined once: row r of a block is its key, ``prefixes[r]`` and a comma,
+    its values separated by commas, then a newline.  Keys and values go
+    through ``repr`` once each, values as Python floats from ``tolist()``
+    (a numpy scalar's repr is not the bare number); the constant pieces are
+    filled in once per call.
     """
+    rows = len(prefixes)
+    width = flat.shape[1] // rows
     step = max(1, _CHUNK_VALUES // flat.shape[1])
+    pieces = np.empty((min(step, hi - lo), rows, 2 * width + 2), dtype=object)
+    pieces[:, :, 1] = [prefix + "," for prefix in prefixes]
+    pieces[:, :, 3:-1:2] = ","
+    pieces[:, :, -1] = "\n"
     for start in range(lo, hi, step):
         stop = min(start + step, hi)
-        yield "".join([
-            row_format(key, *block)
-            for key, block in zip(map(repr, keys[start:stop]), flat[start:stop].tolist())
-        ]).encode()
+        chunk = pieces[: stop - start]
+        chunk[:, :, 0] = np.array(list(map(repr, keys[start:stop])), dtype=object)[:, None]
+        chunk[:, :, 2::2] = np.array(
+            list(map(repr, flat[start:stop].ravel().tolist())), dtype=object
+        ).reshape(stop - start, rows, width)
+        yield "".join(chunk.ravel().tolist()).encode()
 
 
 def _fork_part(chunks, open_pipes: list[BinaryIO]) -> tuple[int, BinaryIO]:
@@ -220,8 +236,9 @@ def _fork_part(chunks, open_pipes: list[BinaryIO]) -> tuple[int, BinaryIO]:
     The worker holds its whole part in memory, because the parent reads the
     pipe only after its own part, and ends with ``os._exit``: it never
     returns into the caller, runs no ``atexit`` hooks and flushes no stdio.
-    It formats Python objects only, so no lock held by another thread of
-    the parent (numpy's BLAS pool, say) is ever taken in the worker.
+    It formats Python objects and numpy object arrays of strings only, with
+    no BLAS call, so no lock held by another thread of the parent (numpy's
+    BLAS pool, say) is ever taken in the worker.
     """
     r, w = os.pipe()
     try:
@@ -251,25 +268,20 @@ def _write_blocks(path: str, header: str, keys, prefixes: list[str], values) -> 
     """Write one block of rows per key to a CSV table; return the row count.
 
     Row r of block b is ``repr(keys[b])``, then ``prefixes[r]`` (its fields
-    with their leading commas), then ``values[b, r, ...]`` flattened.  One
-    ``str.format`` template per table bakes the prefixes in; ``{0}`` is the
-    block key and each value slot is ``{i!r}``, the shortest round-trip float.
+    with their leading commas), then ``values[b, r, ...]`` flattened, each
+    value a comma and its ``repr``, the shortest round-trip float.  Rows are
+    joined from string pieces by ``_format_blocks``.
 
     The blocks are cut into contiguous parts, one per usable CPU with at
     least _MIN_PART_VALUES values each, so smaller tables stay in-process.
     This process streams part 0 to the file while one forked worker per
-    other part formats it with the same template into a pipe; the pipes are
+    other part formats it with the same formatter into a pipe; the pipes are
     then copied into the file in part order.  The bytes written do not
     depend on the CPU count.  A worker that fails, or a failed write here,
     raises OSError once every worker has been reaped.
     """
     n_blocks, rows = len(values), len(prefixes)
     flat = values.reshape(n_blocks, -1)
-    width = flat.shape[1] // rows
-    row_format = "".join(
-        f"{{0}}{prefix}" + "".join(f",{{{1 + r * width + c}!r}}" for c in range(width)) + "\n"
-        for r, prefix in enumerate(prefixes)
-    ).format
     n_parts = max(1, min(_usable_cpus(), n_blocks, values.size // _MIN_PART_VALUES))
     bounds = [n_blocks * i // n_parts for i in range(n_parts + 1)]
     with open(path, "wb") as fh:
@@ -277,9 +289,9 @@ def _write_blocks(path: str, header: str, keys, prefixes: list[str], values) -> 
         workers: list[tuple[int, BinaryIO]] = []
         try:
             for lo, hi in zip(bounds[1:-1], bounds[2:]):
-                chunks = _format_blocks(row_format, keys, flat, lo, hi)
+                chunks = _format_blocks(keys, prefixes, flat, lo, hi)
                 workers.append(_fork_part(chunks, [pipe for _, pipe in workers]))
-            fh.writelines(_format_blocks(row_format, keys, flat, 0, bounds[1]))
+            fh.writelines(_format_blocks(keys, prefixes, flat, 0, bounds[1]))
             for _, pipe in workers:
                 shutil.copyfileobj(pipe, fh)
         finally:

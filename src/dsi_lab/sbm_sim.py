@@ -206,13 +206,18 @@ def _column(ensemble: PathEnsemble, kappa: int) -> np.ndarray:
     return ensemble.paths[:, kappa - ensemble.kappa_min]
 
 
-def _mean_with_error(products: np.ndarray) -> EstimateWithError:
-    P = products.shape[0]
-    return EstimateWithError(
-        value=float(products.mean()),
-        std_error=float(products.std(ddof=1) / math.sqrt(P)),
-        n_samples=P,
-    )
+def _product_moment(ensemble: PathEnsemble, k1: int, k2: int) -> EstimateWithError:
+    # mean of W(k1) W(k2) over paths with its standard error; RangeOverflow
+    # where the products, their mean or their spread leave double range
+    a, b = _column(ensemble, k1), _column(ensemble, k2)
+    P = a.shape[0]
+
+    def moments():
+        products = a * b
+        return products.mean(), products.std(ddof=1) / math.sqrt(P)
+
+    value, std_error = arrays_in_range(f"moment of W({k1}) W({k2}) over {P} paths", moments)
+    return EstimateWithError(value=float(value), std_error=float(std_error), n_samples=P)
 
 
 def estimate_R(
@@ -224,15 +229,14 @@ def estimate_R(
     E[W(j)**2] and R1_hat[j] estimates E[W(j+1) W(j)].  Requires flat
     indices 0..q in the ensemble and at least two paths (the standard
     error uses the ddof=1 sample deviation of the per-path products).
+    RangeOverflow is raised when a product, its mean or its deviation
+    leaves double range.
     """
     if ensemble.paths.shape[0] < 2:
         raise RangeTooSmall("standard errors need at least two paths")
     q = ensemble.scheme.q
-    r0 = [_mean_with_error(_column(ensemble, j) ** 2) for j in range(q)]
-    r1 = [
-        _mean_with_error(_column(ensemble, j + 1) * _column(ensemble, j))
-        for j in range(q)
-    ]
+    r0 = [_product_moment(ensemble, j, j) for j in range(q)]
+    r1 = [_product_moment(ensemble, j + 1, j) for j in range(q)]
     return r0, r1
 
 
@@ -240,7 +244,8 @@ def estimate_Q(ensemble: PathEnsemble, tau_max: int) -> list[MatrixEstimate]:
     """Moment estimates of the blocked lag matrices Q(0, tau), tau = 0..tau_max.
 
     Entry (u, v) of lag tau averages W(tau*q + u) * W(v) over paths.
-    Requires flat indices 0..(tau_max + 1)*q - 1 in the ensemble.
+    Requires flat indices 0..(tau_max + 1)*q - 1 in the ensemble, and
+    raises RangeOverflow as :func:`estimate_R` does.
     """
     if tau_max < 0:
         raise BadIndex(f"tau_max must be >= 0, got {tau_max}")
@@ -253,8 +258,7 @@ def estimate_Q(ensemble: PathEnsemble, tau_max: int) -> list[MatrixEstimate]:
         err = np.empty((q, q))
         for u in range(q):
             for v in range(q):
-                prod = _column(ensemble, tau * q + u) * _column(ensemble, v)
-                est = _mean_with_error(prod)
+                est = _product_moment(ensemble, tau * q + u, v)
                 value[u, v] = est.value
                 err[u, v] = est.std_error
         out.append(

@@ -169,6 +169,20 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith("error: ConfigError: ") and str(cfg) in err
 
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
+        text = "H = 0.75\nalpha = 3\ns = 1,2.5\ntau_max = 3\n"
+        plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_text(text, encoding="utf-8")
+        bom.write_text(text, encoding="utf-8-sig")
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+        parser = cli.make_parser()
+        plain_cfg, bom_cfg = (
+            cli.build_config("covariance", parser.parse_args(["covariance", "--config", str(p)]))
+            for p in (plain, bom)
+        )
+        assert bom_cfg == plain_cfg
+        assert bom_cfg.scheme.H == 0.75
+
     def test_missing_config_file_is_io_error(self, tmp_path, capsys):
         assert run(["covariance", "--config", str(tmp_path / "absent.cfg")]) == 4
 
@@ -451,8 +465,73 @@ class TestCliProperty:
         assert code in ({0, 1, 2, 3, 4} if argv[0] == "verify" else {0, 2, 3, 4})
 
 
+def template_rows(keys, prefixes, values):
+    """The rows of one table as the earlier ``str.format`` row template wrote
+    them: the prefixes baked into one template per table, the block key in
+    ``{0}`` and each value in an ``{i!r}`` slot."""
+    flat = values.reshape(len(values), -1)
+    width = flat.shape[1] // len(prefixes)
+    row_format = "".join(
+        f"{{0}}{prefix}" + "".join(f",{{{1 + r * width + c}!r}}" for c in range(width)) + "\n"
+        for r, prefix in enumerate(prefixes)
+    ).format
+    return "".join(
+        row_format(repr(key), *block) for key, block in zip(keys, flat.tolist())
+    ).encode()
+
+
+# the doubles whose shortest round-trip form is least regular
+EDGE_VALUES = [0.0, -0.0, 1e16, 1e-5, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@st.composite
+def tables(draw):
+    """Keys, row prefixes and a (blocks, rows, width) value array: int or
+    float keys, 1-9 rows with prefixes like the commands' own, widths 1-3.
+    The values are picked from the edge values and a few drawn doubles
+    (drawing each of up to a thousand values would dominate the run)."""
+    rows = draw(st.integers(1, 9))
+    width = draw(st.integers(1, 3))
+    n_blocks = draw(st.integers(1, 40))
+    key = st.integers(-(2 ** 64), 2 ** 64) if draw(st.booleans()) else st.floats()
+    keys = draw(st.lists(key, min_size=n_blocks, max_size=n_blocks))
+    fields = st.lists(st.one_of(st.integers(-5, 99), st.floats(allow_nan=False)), max_size=4)
+    prefixes = [
+        "".join(f",{field!r}" for field in draw(fields)) for _ in range(rows)
+    ]
+    pool = np.array(EDGE_VALUES + draw(st.lists(st.floats(), max_size=8)))
+    picks = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).integers(
+        len(pool), size=(n_blocks, rows, width)
+    )
+    return keys, prefixes, pool[picks]
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="CSV workers are forked")
 class TestParallelWriter:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        table=tables(),
+        chunk_values=st.integers(1, 60),
+        min_part_values=st.integers(1, 60),
+        cpus=st.sampled_from([1, 3]),
+    )
+    def test_rows_match_the_row_template(
+        self, tmp_path_factory, table, chunk_values, min_part_values, cpus
+    ):
+        # small chunk and part sizes, so that block counts fall on either
+        # side of both boundaries; the bytes are those of the old template
+        keys, prefixes, values = table
+        out = tmp_path_factory.mktemp("rows") / "t.csv"
+        with pytest.MonkeyPatch.context() as mp:
+            set_cpus(mp, cpus)
+            mp.setattr(cli, "_CHUNK_VALUES", chunk_values)
+            mp.setattr(cli, "_MIN_PART_VALUES", min_part_values)
+            rows = cli._write_blocks(str(out), "key,a,b", keys, prefixes, values)
+        assert_no_child()
+        assert rows == len(keys) * len(prefixes)
+        assert out.read_bytes() == b"key,a,b\n" + template_rows(keys, prefixes, values)
+
+
     @pytest.mark.parametrize(
         "argv, digest",
         [

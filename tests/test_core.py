@@ -204,6 +204,20 @@ class TestSampleGeometry:
             return
         assert math.isfinite(t) and t > 0.0
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        scheme=wide_schemes(),
+        kappa_min=st.integers(min_value=-5000, max_value=5000),
+        span=st.integers(min_value=0, max_value=40),
+    )
+    def test_sample_points_finite_or_error(self, scheme, kappa_min, span):
+        try:
+            grid = sample_points(scheme, kappa_min, kappa_min + span)
+        except DsiLabError:
+            return
+        assert grid.times.size == span + 1
+        assert np.isfinite(grid.times).all() and (grid.times > 0.0).all()
+
     def test_scheme_with_wide_cycle(self):
         sch = make_scheme(H=0.7, alpha=3.0, T=2, s=(1.0, 4.0, 8.5))
         grid = sample_points(sch, 0, 5)

@@ -215,6 +215,22 @@ class TestSimulation:
             assert ens.seed == 3 and type(ens.seed) is int
             assert np.array_equal(ens.paths, base)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        scheme=wide_schemes(),
+        kappa_min=st.integers(min_value=0, max_value=3000),
+        span=st.integers(min_value=0, max_value=20),
+        P=st.integers(min_value=1, max_value=4),
+        seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
+    )
+    def test_finite_or_error(self, scheme, kappa_min, span, P, seed):
+        try:
+            ens = simulate_paths(scheme, (kappa_min, kappa_min + span), P, seed)
+        except DsiLabError:
+            return
+        assert ens.paths.shape == (P, span + 1)
+        assert np.isfinite(ens.times).all() and np.isfinite(ens.paths).all()
+
     def test_overflowing_paths_raise(self):
         # H = 3 puts band factors near lambda**(351 * 2.5) = 2**877 at kappa 700
         with pytest.raises(RangeOverflow):
@@ -272,6 +288,49 @@ class TestEstimators:
         single = simulate_paths(canonical_scheme, (0, 4), 1, 3)
         with pytest.raises(RangeTooSmall):
             estimate_R(single)
+
+    def test_products_past_double_range_raise(self):
+        # q = 1, lambda = 1e30, H = 5: the paths are finite (about 1e135 and
+        # 1e285), their product at lag one is not
+        ens = simulate_paths(make_scheme(H=5.0, alpha=1e30, s=(1.0,)), (0, 1), 4, 0)
+        assert np.isfinite(ens.paths).all()
+        with pytest.raises(RangeOverflow):
+            estimate_R(ens)
+        with pytest.raises(RangeOverflow):
+            estimate_Q(ens, 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        scheme=wide_schemes(),
+        extra=st.integers(min_value=0, max_value=8),
+        P=st.integers(min_value=2, max_value=5),
+        seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
+        tau_max=st.integers(min_value=0, max_value=2),
+    )
+    def test_finite_or_error(self, scheme, extra, P, seed, tau_max):
+        # an ensemble that covers what estimate_R needs, and sometimes what
+        # estimate_Q needs
+        try:
+            ens = simulate_paths(scheme, (0, scheme.q + extra), P, seed)
+        except DsiLabError:
+            return
+        estimates = []
+        try:
+            estimates += [e for lag in estimate_R(ens) for e in lag]
+        except DsiLabError:
+            pass
+        try:
+            estimates += [
+                qm.entry(u, v)
+                for qm in estimate_Q(ens, tau_max)
+                for u in range(scheme.q)
+                for v in range(scheme.q)
+            ]
+        except DsiLabError:
+            pass
+        for est in estimates:
+            assert math.isfinite(est.value) and math.isfinite(est.std_error)
+            assert est.std_error >= 0.0 and est.n_samples == P
 
     def test_calibration_across_seeds(self):
         # z-scores of repeated small ensembles behave like standard normals:
