@@ -48,7 +48,6 @@ from .lamperti import (
     quasi_lamperti,
 )
 from .markov_cov import (
-    CovarianceMatrixResult,
     MarkovCovarianceModel,
     covariance_V,
     covariance_W,
@@ -84,7 +83,6 @@ __all__ = [
     "BadIndex",
     "BadInterval",
     "ConfigError",
-    "CovarianceMatrixResult",
     "CovarianceRecovery",
     "DsiLabError",
     "EstimateWithError",

@@ -1,7 +1,8 @@
 """Command line front end.
 
-Five subcommands, the ``cmd_*`` functions of ``_DISPATCH``, over one flat
-configuration surface:
+One parser: a positional command, one of the ``cmd_*`` functions of
+``_DISPATCH``, and one flat configuration surface whose flags may come
+before or after it (``dsi-lab --help`` lists the commands):
 
 - ``simulate``: draw reference-process paths, write the ensemble as CSV.
 - ``covariance``: write block covariance matrices Q(0, tau) as CSV.
@@ -37,8 +38,8 @@ import math
 import os
 import shutil
 import sys
-from dataclasses import dataclass, replace
-from typing import BinaryIO
+from dataclasses import replace
+from typing import BinaryIO, NamedTuple
 
 import numpy as np
 
@@ -96,11 +97,9 @@ _SETTINGS = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Materialized run configuration: one validated scheme plus knobs."""
 
-    command: str
     scheme: SamplingScheme
     R0: tuple[float, ...] | None
     R1: tuple[float, ...] | None
@@ -183,7 +182,7 @@ def build_config(command: str, args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"seed must be a 64-bit unsigned integer, got {values['seed']}")
     if values["out"] is None:
         values["out"] = _DEFAULT_OUT[command]
-    return RunConfig(command=command, scheme=scheme, **values)
+    return RunConfig(scheme=scheme, **values)
 
 
 def _build_model(cfg: RunConfig) -> MarkovCovarianceModel:
@@ -344,7 +343,7 @@ def cmd_covariance(cfg: RunConfig) -> int:
     """write block covariance matrices as CSV"""
     model = _build_model(cfg)
     taus = range(cfg.tau_max + 1)
-    mats = np.stack([covariance_V(model, 0, tau).matrix for tau in taus])
+    mats = np.stack([covariance_V(model, 0, tau) for tau in taus])
     rows = _write_blocks(cfg.out, "tau,u,v,value", taus, _uv_prefixes(cfg.scheme.q), mats)
     print(f"wrote {rows} covariance entries to {cfg.out}")
     return 0
@@ -376,24 +375,13 @@ def cmd_invert(cfg: RunConfig) -> int:
     return 0
 
 
-@dataclass
-class _Check:
-    name: str
-    observed: float
-    expected: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return abs(self.observed - self.expected) <= self.tolerance
-
-
 def _rel_err(got: float, want: float) -> float:
     return abs(got - want) / max(abs(want), 1e-300)
 
 
 def _verify_checks(cfg: RunConfig):
-    checks: list[_Check] = []
+    # (name, observed, tolerance): a check passes when |observed| <= tolerance
+    checks: list[tuple[str, float, float]] = []
     scheme = cfg.scheme
 
     # factorized covariance against the exact reference closed form
@@ -406,7 +394,7 @@ def _verify_checks(cfg: RunConfig):
                 got = covariance_W(model, kappa, tau)
                 want = sbm_covariance_exact(sch, kappa + tau, kappa)
                 worst = max(worst, _rel_err(got, want))
-        checks.append(_Check(f"flat_covariance_vs_exact_H{h}", worst, 0.0, 1e-10))
+        checks.append((f"flat_covariance_vs_exact_H{h}", worst, 1e-10))
 
     # block matrices: assembly identity and the scale ladder
     model = model_from_sbm(scheme)
@@ -415,8 +403,8 @@ def _verify_checks(cfg: RunConfig):
     a2 = scheme.alpha ** (2 * scheme.T * scheme.H)
     for n in range(-2, 3):
         for tau in range(7):
-            mat = covariance_V(model, n, tau).matrix
-            base = covariance_V(model, 0, tau).matrix
+            mat = covariance_V(model, n, tau)
+            base = covariance_V(model, 0, tau)
             for u in range(scheme.q):
                 for v in range(scheme.q):
                     assembled = a2 ** n * covariance_W(
@@ -426,8 +414,8 @@ def _verify_checks(cfg: RunConfig):
                     worst_ladder = max(
                         worst_ladder, _rel_err(mat[u, v], a2 ** n * base[u, v])
                     )
-    checks.append(_Check("block_matrix_assembly", worst_asm, 0.0, 1e-12))
-    checks.append(_Check("block_scale_ladder", worst_ladder, 0.0, 1e-12))
+    checks.append(("block_matrix_assembly", worst_asm, 1e-12))
+    checks.append(("block_scale_ladder", worst_ladder, 1e-12))
 
     # geometric series against the closed form
     omegas = _uniform_grid(cfg.omega_points)
@@ -440,16 +428,16 @@ def _verify_checks(cfg: RunConfig):
         tail_ratio=model.stability_ratio,
     )
     diff = float(np.max(np.abs(closed.matrices - series.matrices)))
-    checks.append(_Check("series_vs_closed_form", diff, 0.0, 1e-8))
+    checks.append(("series_vs_closed_form", diff, 1e-8))
 
     # reference-process specialization of the closed form
     ref = spectral_sbm(scheme, omegas)
     diff = float(np.max(np.abs(ref.matrices - closed.matrices)))
-    checks.append(_Check("reference_specialization", diff, 0.0, 1e-12))
+    checks.append(("reference_specialization", diff, 1e-12))
 
     # Hermitian residue across all three density evaluations
     herm = max(e.hermitian_defect() for e in (closed, series, ref))
-    checks.append(_Check("hermitian_defect", herm, 0.0, 1e-10))
+    checks.append(("hermitian_defect", herm, 1e-10))
 
     # frequency-domain inversion recovers the covariance
     fine = spectral_markov(model, _uniform_grid(_VERIFY_INVERT_M))
@@ -457,10 +445,10 @@ def _verify_checks(cfg: RunConfig):
     rec = invert_spectrum(fine, scheme, taus)
     worst = 0.0
     for i, tau in enumerate(taus):
-        want = covariance_V(model, 0, tau).matrix
+        want = covariance_V(model, 0, tau)
         worst = max(worst, float(np.max(np.abs(rec.matrices[i] - want) / np.abs(want))))
-    checks.append(_Check("inversion_roundtrip", worst, 0.0, 1e-6))
-    checks.append(_Check("inversion_imag_residue", rec.imag_residue, 0.0, 1e-8))
+    checks.append(("inversion_roundtrip", worst, 1e-6))
+    checks.append(("inversion_imag_residue", rec.imag_residue, 1e-8))
 
     # frame change round trip on a deterministic grid
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
@@ -474,7 +462,7 @@ def _verify_checks(cfg: RunConfig):
         float(np.max(np.abs(back.times - grid.times))),
         float(np.max(np.abs(back.values - grid.values))),
     )
-    checks.append(_Check("frame_roundtrip", rt, 0.0, 1e-12))
+    checks.append(("frame_roundtrip", rt, 1e-12))
 
     # Monte Carlo moments within three standard errors
     q = scheme.q
@@ -488,7 +476,7 @@ def _verify_checks(cfg: RunConfig):
             z = (est.value - analytic) / est.std_error
             worst_z = max(worst_z, abs(z))
             estimates_rows.append(f"{j},{lag},{est.value!r},{est.std_error!r},{analytic!r},{z!r}")
-    checks.append(_Check("monte_carlo_moments_zmax", worst_z, 0.0, 3.0))
+    checks.append(("monte_carlo_moments_zmax", worst_z, 3.0))
 
     return checks, estimates_rows
 
@@ -497,15 +485,17 @@ def cmd_verify(cfg: RunConfig) -> int:
     """run the cross-check suite and write a report"""
     checks, estimates_rows = _verify_checks(cfg)
     lines = ["check_name,status,observed,expected,tolerance"]
-    for c in checks:
-        status = "PASS" if c.passed else "FAIL"
-        lines.append(f"{c.name},{status},{float(c.observed)!r},{c.expected!r},{c.tolerance!r}")
-        print(f"{status:4s} {c.name}: observed {c.observed:.3e} (tol {c.tolerance:.1e})")
+    n_fail = 0
+    for name, observed, tolerance in checks:
+        passed = abs(observed) <= tolerance
+        n_fail += not passed
+        status = "PASS" if passed else "FAIL"
+        lines.append(f"{name},{status},{float(observed)!r},0.0,{tolerance!r}")
+        print(f"{status:4s} {name}: observed {observed:.3e} (tol {tolerance:.1e})")
     _write_lines(cfg.out, lines)
     stem, ext = os.path.splitext(cfg.out)
     est_path = f"{stem}_estimates{ext}"
     _write_lines(est_path, ["j_or_uv,lag,estimate,std_error,analytic,z_score"] + estimates_rows)
-    n_fail = sum(not c.passed for c in checks)
     print(f"report: {cfg.out}; estimates: {est_path}")
     if n_fail:
         print(f"{n_fail} of {len(checks)} checks FAILED")
@@ -524,18 +514,19 @@ _DISPATCH = {
 
 
 def make_parser() -> argparse.ArgumentParser:
+    commands = "".join(f"\n  {name:<12}{cmd.__doc__}" for name, cmd in _DISPATCH.items())
     parser = argparse.ArgumentParser(
         prog="dsi-lab",
-        description="covariance and spectral toolkit for discretely "
-        "scale-invariant processes on geometric sampling grids",
+        description="covariance and spectral toolkit for discretely scale-invariant\n"
+        "processes on geometric sampling grids",
+        epilog="commands:" + commands,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    subs = parser.add_subparsers(dest="command", required=True)
-    for name, command in _DISPATCH.items():
-        sub = subs.add_parser(name, help=command.__doc__)
-        sub.add_argument("--config", help="key=value configuration file")
-        for key, (_, _, flag_help) in _SETTINGS.items():
-            if flag_help is not None:
-                sub.add_argument("--" + key.replace("_", "-"), help=flag_help)
+    parser.add_argument("command", choices=_DISPATCH, help="one of the commands below")
+    parser.add_argument("--config", help="key=value configuration file")
+    for key, (_, _, flag_help) in _SETTINGS.items():
+        if flag_help is not None:
+            parser.add_argument("--" + key.replace("_", "-"), help=flag_help)
     return parser
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -176,8 +176,7 @@ def embed_index(n: int, u: int, q: int) -> int:
     return int(n) * int(q) + int(u)
 
 
-@dataclass(frozen=True)
-class SampleGrid:
+class SampleGrid(NamedTuple):
     """Sample points as parallel arrays, in time order.
 
     Entry i is the sample kappa[i] = n[i]*q + u[i], 0 <= u[i] < q, at
@@ -196,6 +195,9 @@ def sample_time(scheme: SamplingScheme, kappa: int) -> float:
 
     Raises RangeOverflow when t is not a finite double, or when it has
     flushed towards zero, at or below the reciprocal of the largest double.
+    The cycle power is formed first, so a time that is a double is refused
+    when that power alone flushes: with alpha = 1e200, T = 1 and
+    s = (1, 1e199), kappa = -3 has t = 1e-201, but alpha**(-2) is 0.0.
     """
     n, u = split_index(kappa, scheme.q)
     what = f"sample time for kappa = {kappa}"

@@ -142,6 +142,8 @@ def embedded_to_stationary(
         eta(kappa) = t_kappa**(-H) * values[kappa]
 
     at log-axis times n*T + log_alpha(s_u), which repeat with period T.
+    RangeOverflow is raised if an envelope factor or a rescaled value is
+    not a finite double, as for a non-finite input value.
     """
     vals = _as_float_vector(values, "values")
     if vals.size == 0:
@@ -150,5 +152,5 @@ def embedded_to_stationary(
     log_alpha = math.log(scheme.alpha)
     phase = np.array([math.log(s_u) / log_alpha for s_u in scheme.s])
     times = grid.n * scheme.T + phase[grid.u]
-    envelope = grid.times ** (-scheme.H)
-    return StationaryGrid(times=times, values=envelope * vals)
+    values = arrays_in_range("t**(-H) * values", lambda: grid.times ** (-scheme.H) * vals)
+    return StationaryGrid(times=times, values=values)

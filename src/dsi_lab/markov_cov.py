@@ -210,25 +210,11 @@ def covariance_W(model: MarkovCovarianceModel, kappa: int, tau: int) -> float:
     )
 
 
-@dataclass(frozen=True)
-class CovarianceMatrixResult:
-    """Lag-tau covariance matrix of the blocked q-dimensional view.
-
-    matrix[u, v] = E[V^u(n + tau) V^v(n)] evaluated at block n, where
-    V^u(n) = W(n*q + u).  Satisfies the exact scale ladder
-    matrix(n, tau) = alpha**(2*n*T*H) * matrix(0, tau).
-    """
-
-    n: int
-    tau: int
-    matrix: np.ndarray
-
-
-def covariance_V(
-    model: MarkovCovarianceModel, n: int, tau: int
-) -> CovarianceMatrixResult:
+def covariance_V(model: MarkovCovarianceModel, n: int, tau: int) -> np.ndarray:
     """Lag matrix Q(n, tau) of the blocked view, for integer n and tau >= 0.
 
+    Entry [u, v] is E[V^u(n + tau) V^v(n)] with V^u(n) = W(n*q + u), and
+    the exact scale ladder Q(n, tau) = alpha**(2*n*T*H) * Q(0, tau) holds.
     Built from the model's rank-one factor as ftilde(q-1)**tau * A[u, v],
     which holds entrywise for tau >= 1 and on the lower triangle u >= v at
     tau = 0; the strict upper triangle at tau = 0 is the symmetric mirror.
@@ -247,7 +233,7 @@ def covariance_V(
     if tau == 0:
         iu, jv = np.triu_indices(scheme.q, k=1)
         matrix[iu, jv] = matrix[jv, iu]
-    return CovarianceMatrixResult(n=int(n), tau=int(tau), matrix=matrix)
+    return matrix
 
 
 def model_from_sbm(scheme: SamplingScheme) -> MarkovCovarianceModel:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,34 +42,21 @@ _SEED_BOUND = 2 ** 64
 _BLOCK_PATHS = 4096
 
 
-@dataclass(frozen=True)
-class EstimateWithError:
+class EstimateWithError(NamedTuple):
     """Monte Carlo estimate with its standard error."""
 
     value: float
     std_error: float
-    n_samples: int
 
 
-@dataclass(frozen=True)
-class MatrixEstimate:
+class MatrixEstimate(NamedTuple):
     """Entrywise Monte Carlo estimate of one lag matrix."""
 
-    tau: int
     value: np.ndarray
     std_error: np.ndarray
-    n_samples: int
-
-    def entry(self, u: int, v: int) -> EstimateWithError:
-        return EstimateWithError(
-            value=float(self.value[u, v]),
-            std_error=float(self.std_error[u, v]),
-            n_samples=self.n_samples,
-        )
 
 
-@dataclass(frozen=True)
-class PathEnsemble:
+class PathEnsemble(NamedTuple):
     """Simulated sample paths of the reference process on the flat grid.
 
     paths[i, k] is path i observed at flat index kappa_min + k; times
@@ -81,7 +68,6 @@ class PathEnsemble:
     kappa_max: int
     times: np.ndarray
     paths: np.ndarray
-    seed: int
 
 
 def sbm_covariance_exact(scheme: SamplingScheme, kappa1: int, kappa2: int) -> float:
@@ -187,14 +173,7 @@ def simulate_paths(
         f"paths over kappa in [{kappa_min}, {kappa_max}] with H = {scheme.H}", synthesize
     )
 
-    return PathEnsemble(
-        scheme=scheme,
-        kappa_min=kappa_min,
-        kappa_max=kappa_max,
-        times=times,
-        paths=z,
-        seed=seed,
-    )
+    return PathEnsemble(scheme, kappa_min, kappa_max, times, z)
 
 
 def _column(ensemble: PathEnsemble, kappa: int) -> np.ndarray:
@@ -217,7 +196,7 @@ def _product_moment(ensemble: PathEnsemble, k1: int, k2: int) -> EstimateWithErr
         return products.mean(), products.std(ddof=1) / math.sqrt(P)
 
     value, std_error = arrays_in_range(f"moment of W({k1}) W({k2}) over {P} paths", moments)
-    return EstimateWithError(value=float(value), std_error=float(std_error), n_samples=P)
+    return EstimateWithError(float(value), float(std_error))
 
 
 def estimate_R(
@@ -261,9 +240,5 @@ def estimate_Q(ensemble: PathEnsemble, tau_max: int) -> list[MatrixEstimate]:
                 est = _product_moment(ensemble, tau * q + u, v)
                 value[u, v] = est.value
                 err[u, v] = est.std_error
-        out.append(
-            MatrixEstimate(
-                tau=tau, value=value, std_error=err, n_samples=ensemble.paths.shape[0]
-            )
-        )
+        out.append(MatrixEstimate(value, err))
     return out

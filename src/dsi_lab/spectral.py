@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,8 +56,7 @@ from .markov_cov import MarkovCovarianceModel, covariance_V
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class SeriesMeta:
+class SeriesMeta(NamedTuple):
     """Truncation record of a series evaluation: highest lag summed and the
     certified geometric tail bound (in density units, entrywise sup)."""
 
@@ -152,7 +151,7 @@ def spectral_series(
     ToleranceUnreachable
         If the budget is exhausted before the tail bound certifies tol.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ToleranceUnreachable(f"tolerance must be > 0, got {tol}")
     if tail_ratio is not None and not (0.0 <= tail_ratio < 1.0):
         raise ModelUnstable(
@@ -167,70 +166,74 @@ def spectral_series(
     Q0 = np.asarray(covfn(0), dtype=float)
     if Q0.shape != (q, q):
         raise BadInterval(f"covfn(0) must have shape ({q}, {q}), got {Q0.shape}")
-
-    phase = np.exp(-1j * omegas)  # one-lag phase step
-    acc = np.broadcast_to(Q0, (omegas.size, q, q)).astype(complex).copy()
-    p = np.ones_like(phase)
-
-    # trailing weighted magnitudes for the conservative ratio estimate
-    history: list[float] = []
-    m_prev = float(np.abs(Q0).max())
-    zero_run = 0
-    grow_run = 0
+    n_terms = 0
     tail = math.inf
 
-    n_terms = 0
-    for tau in range(1, max_terms + 1):
-        Qt = np.asarray(covfn(tau), dtype=float)
-        wt = w ** tau
-        p = p * phase
-        acc += wt * (
-            p[:, None, None] * Qt + np.conj(p)[:, None, None] * Qt.T
-        )
-        n_terms = tau
+    def density():
+        nonlocal n_terms, tail
+        phase = np.exp(-1j * omegas)  # one-lag phase step
+        acc = np.broadcast_to(Q0, (omegas.size, q, q)).astype(complex).copy()
+        p = np.ones_like(phase)
 
-        m = wt * float(np.abs(Qt).max())
-        if m == 0.0:
-            zero_run += 1
-            if zero_run >= q:
-                tail = 0.0
-                break
-            continue
+        # trailing weighted magnitudes for the conservative ratio estimate
+        history: list[float] = []
+        m_prev = float(np.abs(Q0).max())
         zero_run = 0
+        grow_run = 0
 
-        if tail_ratio is not None:
-            r = tail_ratio
+        for tau in range(1, max_terms + 1):
+            Qt = np.asarray(covfn(tau), dtype=float)
+            wt = w ** tau
+            p = p * phase
+            acc += wt * (
+                p[:, None, None] * Qt + np.conj(p)[:, None, None] * Qt.T
+            )
+            n_terms = tau
+
+            m = wt * float(np.abs(Qt).max())
+            if m == 0.0:
+                zero_run += 1
+                if zero_run >= q:
+                    tail = 0.0
+                    break
+                continue
+            zero_run = 0
+
+            if tail_ratio is not None:
+                r = tail_ratio
+            else:
+                history.append(0.0 if m_prev == 0.0 else m / m_prev)
+                history = history[-max(q, 3):]
+                r = max(history)
+            if m_prev > 0.0 and m / m_prev >= 1.0:
+                grow_run += 1
+                if grow_run >= 4 * q + 4:
+                    raise ModelUnstable(
+                        f"weighted series terms are not decaying (ratio >= 1 at lag {tau})"
+                    )
+            else:
+                grow_run = 0
+            m_prev = m
+
+            # let at least one full block pass before trusting an estimated ratio
+            if r < 1.0 and (tail_ratio is not None or tau > q):
+                tail = 2.0 * k_max * m * r / (1.0 - r)
+                if tail < tol:
+                    break
         else:
-            history.append(0.0 if m_prev == 0.0 else m / m_prev)
-            history = history[-max(q, 3):]
-            r = max(history)
-        if m_prev > 0.0 and m / m_prev >= 1.0:
-            grow_run += 1
-            if grow_run >= 4 * q + 4:
-                raise ModelUnstable(
-                    f"weighted series terms are not decaying (ratio >= 1 at lag {tau})"
-                )
-        else:
-            grow_run = 0
-        m_prev = m
+            raise ToleranceUnreachable(
+                f"tail bound still {tail:.3e} after {max_terms} lags (target {tol:.3e})"
+            )
+        if not tail < tol:
+            raise ToleranceUnreachable(
+                f"tail bound {tail:.3e} did not reach the target {tol:.3e}"
+            )
+        return K[None, :, :] * acc
 
-        # let at least one full block pass before trusting an estimated ratio
-        if r < 1.0 and (tail_ratio is not None or tau > q):
-            tail = 2.0 * k_max * m * r / (1.0 - r)
-            if tail < tol:
-                break
-    else:
-        raise ToleranceUnreachable(
-            f"tail bound still {tail:.3e} after {max_terms} lags (target {tol:.3e})"
-        )
-    if not tail < tol:
-        raise ToleranceUnreachable(
-            f"tail bound {tail:.3e} did not reach the target {tol:.3e}"
-        )
-
+    matrices = arrays_in_range("spectral_series density", density)
     return SpectralEvaluation(
         omegas=omegas,
-        matrices=K[None, :, :] * acc,
+        matrices=matrices,
         meta=SeriesMeta(n_terms=n_terms, tail_bound=float(tail)),
     )
 
@@ -313,8 +316,7 @@ def spectral_sbm(scheme: SamplingScheme, omegas) -> SpectralEvaluation:
     return SpectralEvaluation(omegas=omegas, matrices=_mirror_upper(mats))
 
 
-@dataclass(frozen=True)
-class CovarianceRecovery:
+class CovarianceRecovery(NamedTuple):
     """Lag matrices recovered from a sampled density.
 
     matrices[i] is the real part of the rectangle-rule inversion at
@@ -342,7 +344,11 @@ def invert_spectrum(
                  * sum_k e^{i omega_k tau} g(omega_k),
 
     the sum being 2 pi * ifft(g)[tau mod M].  A rescaling factor or a
-    recovered value outside double range raises RangeOverflow.
+    recovered value outside double range raises RangeOverflow.  The factor
+    is formed on its own, so a lag whose recovered value is a double is
+    still refused when its factor is not: ``dsi-lab invert --T 700 --H 0.5
+    --s 1,1e200`` fails at lag 4 (factor about e**1431), while
+    ``dsi-lab covariance`` with the same flags writes values near 1e200.
     """
     taus = tuple(int(t) for t in taus)
     if not taus:
@@ -390,6 +396,9 @@ def spectral_distribution_interval(b, lo: float, hi: float) -> complex:
     over the interval; the full circle [0, 2 pi) returns exactly B(0).
     Endpoints must satisfy 0 <= lo < hi <= 2 pi and the coefficients must be
     finite (BadInterval); a mass outside double range raises RangeOverflow.
+    So does a mass that is a double but whose products B(tau) * kernel
+    overflow before the division by 2 pi: ``b = [1.7e308] * 3`` on
+    [0, pi) has the mass 8.5e307 (the lag terms cancel) and is refused.
     """
     b = np.asarray(b)
     if b.ndim != 1 or b.size % 2 != 1 or b.size < 3:
@@ -417,4 +426,4 @@ def spectral_distribution_interval(b, lo: float, hi: float) -> complex:
 def markov_covfn(model: MarkovCovarianceModel) -> Callable[[int], np.ndarray]:
     """Block covariance callable tau -> Q(0, tau) of a Markov model, in the
     form :func:`spectral_series` consumes."""
-    return lambda tau: covariance_V(model, 0, tau).matrix
+    return lambda tau: covariance_V(model, 0, tau)

@@ -70,8 +70,8 @@ def test_02_block_matrix_assembly_and_scale_ladder():
     worst_ladder = 0.0
     for n in range(-2, 3):
         for tau in range(7):
-            mat = covariance_V(model, n, tau).matrix
-            base = covariance_V(model, 0, tau).matrix
+            mat = covariance_V(model, n, tau)
+            base = covariance_V(model, 0, tau)
             for u in range(sch.q):
                 for v in range(sch.q):
                     assembled = a2 ** n * covariance_W(model, v, tau * sch.q + u - v)
@@ -150,7 +150,7 @@ def test_05_inversion_recovers_covariance():
     rec = invert_spectrum(ev, sch, range(5))
     worst = 0.0
     for i, tau in enumerate(rec.taus):
-        want = covariance_V(model, 0, tau).matrix
+        want = covariance_V(model, 0, tau)
         worst = max(worst, float(np.max(np.abs(rec.matrices[i] - want) / np.abs(want))))
     ok = worst <= 1e-6 and rec.imag_residue <= 1e-8
     report(

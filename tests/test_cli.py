@@ -82,7 +82,7 @@ class TestConfigHandling:
         sch = validate_scheme(H=1.0, alpha=2.0, T=1, s=(1.0, 1.5))
         model = model_from_sbm(sch)
         for tau in range(3):
-            want = covariance_V(model, 0, tau).matrix
+            want = covariance_V(model, 0, tau)
             for u in range(2):
                 for v in range(2):
                     assert got[(tau, u, v)] == pytest.approx(want[u, v], rel=1e-15)
@@ -269,6 +269,18 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: RangeOverflow: ")
         assert not out.exists()
 
+    def test_help_lists_commands_and_flags(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        # whitespace-normalized, so that line wrapping does not matter
+        text = " ".join(capsys.readouterr().out.split())
+        for name, command in cli._DISPATCH.items():
+            assert f" {name} {command.__doc__} " in f"{text} "
+        for key in FLAGGED_KEYS:
+            flag = "--" + key.replace("_", "-")
+            assert f" {flag} {key.upper()} {cli._SETTINGS[key][2]} " in f"{text} "
+
     def test_unwritable_output_exit_four(self, tmp_path, capsys):
         out = tmp_path / "no" / "such" / "dir" / "x.csv"
         assert run(["covariance", "--out", str(out)]) == 4
@@ -431,19 +443,21 @@ SCHEME_FLAGS = {
 def cli_argv(draw):
     """One command with optional scheme flags, at most one of them drawn
     from its wide range, and small size flags: no table reaches the
-    forking threshold.  Each flag is one --name=value token, so that a
-    value like -1e+300 is not read as a flag."""
-    argv = [draw(st.sampled_from(tuple(cli._DISPATCH)))]
+    forking threshold.  The command goes before, between or after the
+    flags.  Each flag is one --name=value token, so that a value like
+    -1e+300 is not read as a flag."""
+    flags = []
     wide = draw(st.sampled_from([None, *SCHEME_FLAGS]))
     for name, (usual, wide_values) in SCHEME_FLAGS.items():
         if name == wide or draw(st.booleans()):
             value = draw(wide_values if name == wide else usual)
             text = ",".join(map(repr, value)) if name == "--s" else repr(value)
-            argv.append(f"{name}={text}")
-    argv.append(f"--paths={draw(st.integers(-1, 200))}")
-    argv.append(f"--omega-points={draw(st.integers(-1, 512))}")
-    argv.append(f"--tau-max={draw(st.integers(-1, 8))}")
-    return argv
+            flags.append(f"{name}={text}")
+    flags.append(f"--paths={draw(st.integers(-1, 200))}")
+    flags.append(f"--omega-points={draw(st.integers(-1, 512))}")
+    flags.append(f"--tau-max={draw(st.integers(-1, 8))}")
+    at = draw(st.integers(0, len(flags)))
+    return flags[:at] + [draw(st.sampled_from(tuple(cli._DISPATCH)))] + flags[at:]
 
 
 class TestCliProperty:
@@ -462,7 +476,7 @@ class TestCliProperty:
         # every input argparse accepts ends in an exit code: no exception,
         # and no numpy warning (an error under this suite's warning filter)
         code = main(argv + ["--out", str(tmp_path / "out.csv")])
-        assert code in ({0, 1, 2, 3, 4} if argv[0] == "verify" else {0, 2, 3, 4})
+        assert code in ({0, 1, 2, 3, 4} if "verify" in argv else {0, 2, 3, 4})
 
 
 def template_rows(keys, prefixes, values):

@@ -20,7 +20,7 @@ from dsi_lab import (
     quasi_lamperti,
     sample_points,
 )
-from conftest import make_scheme
+from conftest import make_scheme, wide_schemes
 
 
 class TestGridTypes:
@@ -206,6 +206,27 @@ class TestEmbeddedToStationary:
     def test_empty_rejected(self, canonical_scheme):
         with pytest.raises(BadIndex):
             embedded_to_stationary([], canonical_scheme)
+
+    def test_rescaled_values_past_double_range(self):
+        # t = 2**-100 at kappa = -200 gives the envelope t**-5 = 2**500
+        sch = make_scheme(H=5.0)
+        with pytest.raises(RangeOverflow):
+            embedded_to_stationary([1e300, 1.0, 1.0], sch, kappa_start=-200)
+        with pytest.raises(RangeOverflow):
+            embedded_to_stationary([math.inf, 1.0], sch)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        scheme=wide_schemes(),
+        values=st.lists(st.floats(allow_nan=False), min_size=1, max_size=6),
+        kappa_start=st.integers(min_value=-5000, max_value=5000),
+    )
+    def test_finite_or_error(self, scheme, values, kappa_start):
+        try:
+            grid = embedded_to_stationary(values, scheme, kappa_start)
+        except DsiLabError:
+            return
+        assert np.isfinite(grid.times).all() and np.isfinite(grid.values).all()
 
     def test_white_noise_covariance_transport(self):
         # iid unit-variance stationary input: the transformed process must

@@ -132,7 +132,7 @@ class TestModelConstruction:
         # ftilde(1) = 1e-300: A[0, 2] = 1e300 still is
         model = MarkovCovarianceModel(scheme=sch, R0=[1.0] * 3, R1=[1e-150] * 3)
         for tau in (0, 1):
-            assert np.isfinite(covariance_V(model, 0, tau).matrix).all()
+            assert np.isfinite(covariance_V(model, 0, tau)).all()
 
     @settings(max_examples=100, deadline=None)
     @given(drawn=wide_models())
@@ -335,12 +335,12 @@ class TestCovarianceV:
     def test_lag_zero_is_true_symmetric_matrix(self, canonical_model):
         res = covariance_V(canonical_model, 0, 0)
         want = np.array([[2.0, 2.0], [2.0, 3.0]])
-        assert np.allclose(res.matrix, want, rtol=1e-14)
+        assert np.allclose(res, want, rtol=1e-14)
         # cross-check every entry against the exact reference covariance
         sch = canonical_model.scheme
         for u in range(2):
             for v in range(2):
-                assert res.matrix[u, v] == pytest.approx(
+                assert res[u, v] == pytest.approx(
                     sbm_covariance_exact(sch, u, v), rel=1e-12
                 )
 
@@ -349,7 +349,7 @@ class TestCovarianceV:
         want = np.array(
             [[2.0 * SQRT2, 3.0 * SQRT2], [2.0 * SQRT2, 3.0 * SQRT2]]
         )
-        assert np.allclose(res.matrix, want, rtol=1e-12)
+        assert np.allclose(res, want, rtol=1e-12)
 
     def test_assembly_from_flat_covariance(self):
         rng = np.random.default_rng(31)
@@ -359,7 +359,7 @@ class TestCovarianceV:
             a2 = sch.alpha ** (2 * sch.T * sch.H)
             for n in range(-2, 3):
                 for tau in range(7):
-                    mat = covariance_V(model, n, tau).matrix
+                    mat = covariance_V(model, n, tau)
                     for u in range(sch.q):
                         for v in range(sch.q):
                             want = a2 ** n * covariance_W(
@@ -374,9 +374,9 @@ class TestCovarianceV:
             sch = model.scheme
             a2 = sch.alpha ** (2 * sch.T * sch.H)
             for tau in range(5):
-                base = covariance_V(model, 0, tau).matrix
+                base = covariance_V(model, 0, tau)
                 for n in (-2, -1, 1, 2):
-                    got = covariance_V(model, n, tau).matrix
+                    got = covariance_V(model, n, tau)
                     assert np.allclose(got, a2 ** n * base, rtol=1e-12)
 
     def test_rank_one_product_form_above_lag_zero(self):
@@ -390,9 +390,9 @@ class TestCovarianceV:
             pref = np.array([f_tilde(model, v - 1) for v in range(q)])
             raw = np.outer(pref, model.R0 / pref)
             for tau in range(1, 5):
-                got = covariance_V(model, 0, tau).matrix
+                got = covariance_V(model, 0, tau)
                 assert np.allclose(got, model.ftilde_q ** tau * raw, rtol=1e-12)
-            at_zero = covariance_V(model, 0, 0).matrix
+            at_zero = covariance_V(model, 0, 0)
             lower = np.tril_indices(q)
             assert np.allclose(at_zero[lower], raw[lower], rtol=1e-12)
             assert np.allclose(at_zero, at_zero.T, rtol=1e-12)
@@ -403,9 +403,9 @@ class TestCovarianceV:
 
     def test_overflow_raises_range_overflow(self, canonical_model):
         # ftilde(q-1) = sqrt(2): tau = 2000 gives 2**1000, tau = 100000 overflows
-        assert np.all(np.isfinite(covariance_V(canonical_model, 0, 2000).matrix))
+        assert np.all(np.isfinite(covariance_V(canonical_model, 0, 2000)))
         # largest entry 2**1022 * R0[1] = 1.5 * 2**1023 is still finite
-        assert np.all(np.isfinite(covariance_V(canonical_model, 511, 0).matrix))
+        assert np.all(np.isfinite(covariance_V(canonical_model, 511, 0)))
         with pytest.raises(RangeOverflow):
             covariance_V(canonical_model, 0, 100000)
         with pytest.raises(RangeOverflow):
@@ -421,8 +421,8 @@ class TestCovarianceV:
         )
         assert model.ftilde_q == 0.0
         for tau in (0, 3):
-            assert np.all(np.isfinite(covariance_V(model, 0, tau).matrix))
-        assert covariance_V(model, 0, 0).matrix[1, 1] == pytest.approx(1.0)
+            assert np.all(np.isfinite(covariance_V(model, 0, tau)))
+        assert covariance_V(model, 0, 0)[1, 1] == pytest.approx(1.0)
         assert covariance_W(model, 1, 0) == 1.0
         assert covariance_W(model, 0, 5) == 0.0
 
@@ -434,15 +434,10 @@ class TestCovarianceV:
     )
     def test_finite_or_error(self, drawn, n, tau):
         try:
-            matrix = covariance_V(build(drawn), n, tau).matrix
+            matrix = covariance_V(build(drawn), n, tau)
         except DsiLabError:
             return
         assert np.isfinite(matrix).all()
-
-    def test_result_carries_indices(self, canonical_model):
-        res = covariance_V(canonical_model, -2, 3)
-        assert res.n == -2
-        assert res.tau == 3
 
 
 class TestDoobFactorization:

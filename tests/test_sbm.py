@@ -106,7 +106,6 @@ class TestSimulation:
         assert ens.times.tolist() == [
             1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0,
         ]
-        assert ens.seed == 7
         assert ens.kappa_min == 0 and ens.kappa_max == 9
 
     def test_same_seed_bit_identical(self, canonical_scheme):
@@ -212,7 +211,6 @@ class TestSimulation:
         base = simulate_paths(canonical_scheme, (0, 3), 4, 3).paths
         for seed in (3.0, np.uint64(3), np.int32(3)):
             ens = simulate_paths(canonical_scheme, (0, 3), 4, seed)
-            assert ens.seed == 3 and type(ens.seed) is int
             assert np.array_equal(ens.paths, base)
 
     @settings(max_examples=100, deadline=None)
@@ -253,28 +251,20 @@ class TestEstimators:
                 want = covariance_W(model, j, lag)
                 assert est.std_error > 0
                 assert abs(est.value - want) <= 3.0 * est.std_error
-                assert est.n_samples == 20000
 
     def test_block_moments_within_four_se(self, big_ensemble):
         model = model_from_sbm(big_ensemble.scheme)
-        for qm in estimate_Q(big_ensemble, 3):
-            want = covariance_V(model, 0, qm.tau).matrix
+        for tau, qm in enumerate(estimate_Q(big_ensemble, 3)):
+            want = covariance_V(model, 0, tau)
             z = np.abs(qm.value - want) / qm.std_error
             assert np.max(z) <= 4.0
-
-    def test_entry_accessor(self, big_ensemble):
-        qm = estimate_Q(big_ensemble, 0)[0]
-        e = qm.entry(0, 1)
-        assert e.value == pytest.approx(qm.value[0, 1])
-        assert e.std_error == pytest.approx(qm.std_error[0, 1])
-        assert e.n_samples == qm.n_samples
 
     def test_lag_zero_block_estimate_is_symmetric_target(self, big_ensemble):
         # the tau = 0 moment matrix estimates E[W(u) W(v)], which is the
         # symmetrized matrix, not the one-sided product form
         model = model_from_sbm(big_ensemble.scheme)
         qm = estimate_Q(big_ensemble, 0)[0]
-        want = covariance_V(model, 0, 0).matrix
+        want = covariance_V(model, 0, 0)
         z = np.abs(qm.value - want) / qm.std_error
         assert np.max(z) <= 4.0
         assert want[0, 1] == want[1, 0]
@@ -321,16 +311,15 @@ class TestEstimators:
             pass
         try:
             estimates += [
-                qm.entry(u, v)
+                (value, std_error)
                 for qm in estimate_Q(ens, tau_max)
-                for u in range(scheme.q)
-                for v in range(scheme.q)
+                for value, std_error in zip(qm.value.ravel(), qm.std_error.ravel())
             ]
         except DsiLabError:
             pass
-        for est in estimates:
-            assert math.isfinite(est.value) and math.isfinite(est.std_error)
-            assert est.std_error >= 0.0 and est.n_samples == P
+        for value, std_error in estimates:
+            assert math.isfinite(value) and math.isfinite(std_error)
+            assert std_error >= 0.0
 
     def test_calibration_across_seeds(self):
         # z-scores of repeated small ensembles behave like standard normals:

@@ -341,7 +341,7 @@ class TestInversion:
         rec = invert_spectrum(ev, canonical_scheme, range(5))
         assert rec.imag_residue < 1e-8
         for i, tau in enumerate(rec.taus):
-            want = covariance_V(model, 0, tau).matrix
+            want = covariance_V(model, 0, tau)
             rel = np.max(np.abs(rec.matrices[i] - want) / np.abs(want))
             assert rel < 1e-6
 
@@ -350,7 +350,7 @@ class TestInversion:
         model = model_from_sbm(sch)
         ev = spectral_markov(model, uniform_grid(8192))
         rec = invert_spectrum(ev, sch, [-2, 2])
-        want_pos = covariance_V(model, 0, 2).matrix
+        want_pos = covariance_V(model, 0, 2)
         want_neg = sch.alpha ** (-2 * 2 * sch.T * sch.H) * want_pos.T
         assert np.allclose(rec.matrices[1], want_pos, rtol=1e-6)
         assert np.allclose(rec.matrices[0], want_neg, rtol=1e-6)
@@ -431,7 +431,7 @@ class TestDistributionInterval:
         pos = np.array(
             [
                 (scheme.alpha ** (tau * scheme.T) * s2) ** (-scheme.H)
-                * covariance_V(model, 0, tau).matrix[entry, entry]
+                * covariance_V(model, 0, tau)[entry, entry]
                 for tau in range(n_lags + 1)
             ]
         )
@@ -564,6 +564,53 @@ class TestFrequencyAndRangeGuards:
         sch = validate_scheme(H=1.5, alpha=2.0, T=1000, s=(1.0, 1.5))
         with pytest.raises(RangeOverflow):
             spectral_sbm(sch, [0.0])
+
+    def test_series_sum_past_double_range(self, canonical_scheme):
+        # admissible and strictly stable, but the partial sums leave double
+        # range before the lag matrices do
+        model = MarkovCovarianceModel(
+            scheme=canonical_scheme, R0=[1e300, 1e300], R1=[1e300, 1.9999999999e300]
+        )
+        for tail_ratio in (model.stability_ratio, None):
+            with pytest.raises(RangeOverflow):
+                spectral_series(
+                    markov_covfn(model), canonical_scheme, [0.0, 1.0], tol=1e290,
+                    tail_ratio=tail_ratio,
+                )
+        # every lag matrix is a double, their weighted sum is not
+        with pytest.raises(RangeOverflow):
+            spectral_series(
+                lambda tau: np.full((2, 2), 1.7e308), canonical_scheme, [0.0],
+                tol=1e-8, tail_ratio=0.5,
+            )
+
+    def test_series_nan_tolerance_sums_nothing(self, canonical_scheme):
+        def covfn(tau):
+            raise AssertionError("a NaN tolerance summed a term")
+
+        with pytest.raises(ToleranceUnreachable):
+            spectral_series(covfn, canonical_scheme, [0.0], tol=math.nan)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        drawn=wide_models(),
+        omegas=finite_omegas,
+        tol=st.floats(min_value=1e-12, max_value=1e300),
+        known_ratio=st.booleans(),
+    )
+    def test_series_finite_or_error(self, drawn, omegas, tol, known_ratio):
+        # a small lag budget: a ratio near 1 ends in ToleranceUnreachable
+        scheme, R0, R1 = drawn
+        try:
+            model = MarkovCovarianceModel(scheme=scheme, R0=R0, R1=R1)
+            ev = spectral_series(
+                markov_covfn(model), scheme, omegas, tol=tol,
+                tail_ratio=model.stability_ratio if known_ratio else None,
+                max_terms=2000,
+            )
+        except DsiLabError:
+            return
+        assert np.isfinite(ev.matrices).all()
 
     @settings(max_examples=75, deadline=None)
     @given(drawn=wide_models(), omegas=finite_omegas)
