@@ -17,9 +17,9 @@ Floor division defines the split for negative kappa as well, so e.g.
 kappa = -1 with q = 3 lives in cycle n = -1 at offset u = 2.
 
 Overflow policy, for the whole package: each closed form that can leave
-double range is evaluated once, as the code computes it, through
-:func:`in_range` (scalars) or :func:`arrays_in_range` (arrays), which
-raise RangeOverflow unless every value it returns is finite.
+double range is evaluated once, as the code computes it, through one
+guard, :func:`in_range`, which raises RangeOverflow unless every value it
+returns is finite.
 """
 
 from __future__ import annotations
@@ -44,33 +44,74 @@ from .errors import (
 TINY = 1 / sys.float_info.max
 
 
-def in_range(what: str, form: Callable[[], float]) -> float:
-    """Return the scalar closed form ``form()``; RangeOverflow names ``what``
-    unless the value is finite.
+def in_range(what: str, form: Callable[[], Any]) -> Any:
+    """Return ``form()``, a scalar, an array or a tuple of same-shape arrays;
+    RangeOverflow names ``what`` unless every value is finite.
 
-    An overflow in a product of powers ends as inf or NaN, or as the
+    The form is evaluated once with numpy's floating-point warnings off.  An
+    overflow in a product of powers ends as inf or NaN, or as the
     OverflowError of float ``**`` or the ZeroDivisionError of ``0.0 ** -k``,
-    so the result alone decides.  Scalar forms use Python floats, which
-    never emit numpy warnings.
+    so the result alone decides.
     """
-    return _checked(what, form, math.isfinite)
-
-
-def arrays_in_range(what: str, form: Callable[[], Any]) -> Any:
-    """:func:`in_range` for an array, or a tuple of same-shape arrays,
-    evaluated with numpy's floating-point warnings off."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _checked(what, form, lambda value: np.isfinite(value).all())
-
-
-def _checked(what, form, is_finite):
-    try:
-        value = form()
-    except (OverflowError, ZeroDivisionError):
-        value = math.inf
-    if not is_finite(value):
+        try:
+            value = form()
+        except (OverflowError, ZeroDivisionError):
+            value = math.inf
+    if not np.isfinite(value).all():
         raise RangeOverflow(f"{what} is outside double precision range")
     return value
+
+
+def powers(base: float, exponents) -> np.ndarray:
+    """``base ** e`` for every entry e of ``exponents``, in their shape.
+
+    One Python ``**`` per distinct exponent, because numpy's vectorised
+    power differs from it in the last bit for about 5% of (alpha, k) pairs
+    and the CSV bytes follow Python's.  Python's OverflowError, and the
+    ZeroDivisionError of ``0.0 ** -k``, are left for :func:`in_range`.
+    """
+    base, exponents = float(base), np.asarray(exponents)
+    flat = exponents.ravel().tolist()
+    table = {e: base ** e for e in set(flat)}
+    return np.array([table[e] for e in flat], dtype=float).reshape(exponents.shape)
+
+
+def index_arrays(name: str, T: int, **indices) -> tuple[str, tuple[np.ndarray, ...]]:
+    """Return ``(what, arrays)``: ``name`` with each index's value or range,
+    for one-line error messages, and the indices as broadcast int64 arrays.
+
+    A non-integral entry (an integral float counts as its value) or shapes
+    that do not broadcast raise BadIndex.  An entry k with |k| * T >= 2**61
+    raises RangeOverflow, even where its value would be a double, so that
+    sums of two indices and twice their cycle products n*T stay in int64.
+    """
+    limit = -(-(2 ** 61) // T)
+    arrays, spans = [], []
+    for key, value in indices.items():
+        index = np.asarray(value)
+        if index.dtype.kind not in "iu":
+            # floats, and Python integers past int64 (an object array)
+            try:
+                index = index.astype(float)
+            except (TypeError, ValueError):
+                raise BadIndex(f"{name}: {key} must hold integers")
+            if not (np.isfinite(index) & (index == np.floor(index))).all():
+                raise BadIndex(f"{name}: {key} must hold integers")
+        if index.ndim:
+            lo, hi = (index.min(), index.max()) if index.size else (0, 0)
+            spans.append(f"{key} in [{lo}, {hi}]")
+        else:
+            lo = hi = index.item()
+            spans.append(f"{key} = {lo}")
+        if lo <= -limit or hi >= limit:
+            raise RangeOverflow(f"{name}: {key} is outside |{key}| * T < 2**61")
+        arrays.append(index.astype(np.int64))
+    what = f"{name}({', '.join(spans)})"
+    try:
+        return what, np.broadcast_arrays(*arrays)
+    except ValueError:
+        raise BadIndex(f"{name}: index shapes do not broadcast together")
 
 
 @dataclass(frozen=True)
@@ -190,19 +231,21 @@ class SampleGrid(NamedTuple):
     times: np.ndarray
 
 
-def sample_time(scheme: SamplingScheme, kappa: int) -> float:
+def sample_time(scheme: SamplingScheme, kappa) -> np.ndarray:
     """Physical time of sample kappa, t = alpha**(n*T) * s_u.
 
-    Raises RangeOverflow when t is not a finite double, or when it has
+    ``kappa`` is an integer or an integer array (see :func:`index_arrays`);
+    the result has its shape, a ``numpy.float64`` for an integer.
+    Raises RangeOverflow when a time is not a finite double, or when it has
     flushed towards zero, at or below the reciprocal of the largest double.
     The cycle power is formed first, so a time that is a double is refused
     when that power alone flushes: with alpha = 1e200, T = 1 and
     s = (1, 1e199), kappa = -3 has t = 1e-201, but alpha**(-2) is 0.0.
     """
-    n, u = split_index(kappa, scheme.q)
-    what = f"sample time for kappa = {kappa}"
-    t = in_range(what, lambda: scheme.alpha ** (n * scheme.T) * scheme.s[u])
-    if not t > TINY:
+    what, (kappa,) = index_arrays("sample_time", scheme.T, kappa=kappa)
+    n, u = np.divmod(kappa, scheme.q)
+    t = in_range(what, lambda: powers(scheme.alpha, n * scheme.T) * np.array(scheme.s)[u])
+    if not (t > TINY).all():
         raise RangeOverflow(f"{what} flushes towards zero")
     return t
 
@@ -211,19 +254,13 @@ def sample_points(scheme: SamplingScheme, kappa_min: int, kappa_max: int) -> Sam
     """All sample points for kappa in [kappa_min, kappa_max], time-ordered.
 
     Times strictly increase with kappa, and one full cycle advances time by
-    exactly the cycle factor: t(kappa + q) = alpha**T * t(kappa).  Each
-    time is the float :func:`sample_time` returns, bit for bit.
+    exactly the cycle factor: t(kappa + q) = alpha**T * t(kappa).  The times
+    are those :func:`sample_time` returns for the index range.
     """
     if kappa_max < kappa_min:
         raise BadIndex(f"empty index range [{kappa_min}, {kappa_max}]")
     # times increase with kappa, so the end samples bound every time
-    sample_time(scheme, kappa_min)
-    sample_time(scheme, kappa_max)
+    sample_time(scheme, (kappa_min, kappa_max))
     kappa = np.arange(kappa_min, kappa_max + 1)
     n, u = np.divmod(kappa, scheme.q)
-    # one Python float ** int per cycle, as in sample_time: numpy's
-    # vectorised power can differ from it in the last bit
-    cycles = range(kappa_min // scheme.q, kappa_max // scheme.q + 1)
-    cycle_scale = np.array([scheme.alpha ** (m * scheme.T) for m in cycles])
-    times = cycle_scale[n - cycles.start] * np.array(scheme.s)[u]
-    return SampleGrid(kappa=kappa, n=n, u=u, times=times)
+    return SampleGrid(kappa=kappa, n=n, u=u, times=sample_time(scheme, kappa))

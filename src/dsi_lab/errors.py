@@ -15,7 +15,7 @@ class BadBase(DsiLabError):
 
 
 class BadIndex(DsiLabError):
-    """A structural parameter (H, T, q) is outside its domain."""
+    """A structural parameter (H, T, q) or a sample index is outside its domain."""
 
 
 class NonIncreasingOffsets(DsiLabError):

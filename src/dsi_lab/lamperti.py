@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TINY, SamplingScheme, arrays_in_range, sample_points
+from .core import TINY, SamplingScheme, in_range, sample_points
 from .errors import BadBase, BadIndex, NonPositivePoint, RangeOverflow
 
 
@@ -106,7 +106,7 @@ def quasi_lamperti(y: StationaryGrid, H: float, alpha: float) -> SelfSimilarGrid
         points = alpha ** y.times
         return points, points ** H * y.values
 
-    points, values = arrays_in_range("alpha**t and alpha**(H*t) * values", transform)
+    points, values = in_range("alpha**t and alpha**(H*t) * values", transform)
     # the smallest point and envelope factor sit at the first time
     if points.size and not min(points[0], points[0] ** H) > TINY:
         raise RangeOverflow("alpha**t or alpha**(H*t) flushes towards zero")
@@ -124,7 +124,7 @@ def inverse_quasi_lamperti(x: SelfSimilarGrid, H: float, alpha: float) -> Statio
     points.
     """
     _check_transform_params(H, alpha)
-    times, values = arrays_in_range(
+    times, values = in_range(
         "log_alpha(points) and points**(-H) * values",
         lambda: (np.log(x.points) / math.log(alpha), x.points ** (-H) * x.values),
     )
@@ -152,5 +152,5 @@ def embedded_to_stationary(
     log_alpha = math.log(scheme.alpha)
     phase = np.array([math.log(s_u) / log_alpha for s_u in scheme.s])
     times = grid.n * scheme.T + phase[grid.u]
-    values = arrays_in_range("t**(-H) * values", lambda: grid.times ** (-scheme.H) * vals)
+    values = in_range("t**(-H) * values", lambda: grid.times ** (-scheme.H) * vals)
     return StationaryGrid(times=times, values=values)

@@ -40,7 +40,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import SamplingScheme, arrays_in_range, in_range, split_index
+from .core import SamplingScheme, in_range, index_arrays, powers
 from .errors import BadIndex, InvalidModel, ModelUnstable, NegativeKappa
 
 # relative slack for the Cauchy-Schwarz admissibility check
@@ -114,13 +114,13 @@ class MarkovCovarianceModel:
         object.__setattr__(self, "R1", R1)
 
         # prefix[v] = ftilde(v-1) = f(0) ... f(v-1) with f = R1 / R0 and
-        # prefix[0] = 1; kept as Python floats for the scalar closed forms
-        prefix = arrays_in_range(
+        # prefix[0] = 1
+        prefix = in_range(
             "running products ftilde of R1 / R0",
             lambda: np.concatenate([[1.0], np.cumprod(R1 / R0)]),
         )
         object.__setattr__(self, "_f", R1 / R0)
-        object.__setattr__(self, "_prefix", tuple(prefix.tolist()))
+        object.__setattr__(self, "_prefix", prefix)
 
         ratio = abs(prefix[q]) / growth
         if not ratio < 1.0:
@@ -131,7 +131,7 @@ class MarkovCovarianceModel:
         object.__setattr__(self, "_stability_ratio", float(ratio))
         # rank-one factor A[u, v] = ftilde(u-1) / ftilde(v-1) * R0[v] of every
         # lag matrix; an inner ftilde that underflowed to 0 has no inverse
-        rank_one = arrays_in_range(
+        rank_one = in_range(
             "rank-one factor A", lambda: np.outer(prefix[:q], R0 / prefix[:q])
         )
         object.__setattr__(self, "_rank_one", rank_one)
@@ -144,7 +144,7 @@ class MarkovCovarianceModel:
     @property
     def ftilde_q(self) -> float:
         """Full-cycle product ftilde(q-1) = f(0) ... f(q-1)."""
-        return self._prefix[self.scheme.q]
+        return float(self._prefix[self.scheme.q])
 
     @property
     def stability_ratio(self) -> float:
@@ -155,84 +155,82 @@ class MarkovCovarianceModel:
         return self._stability_ratio
 
 
-def f_tilde(model: MarkovCovarianceModel, r: int) -> float:
+def f_tilde(model: MarkovCovarianceModel, r) -> np.ndarray:
     """Running product ftilde(r) = f(0) f(1) ... f(r) of the periodic ratios.
 
     Defined for every integer r via the closed form
     ftilde(m*q + v - 1) = ftilde(q-1)**m * ftilde(v-1): the empty product
     ftilde(-1) is 1, and negative r continue the periodic extension
-    (all ratios are nonzero, so the inverse powers exist).  RangeOverflow
-    is raised when the power or the result leaves double range.
+    (all ratios are nonzero, so the inverse powers exist).  ``r`` is an
+    integer or an integer array; the result has its shape, a
+    ``numpy.float64`` for an integer.  RangeOverflow is raised when a power
+    or a result leaves double range.
     """
     q = model.scheme.q
-    m, v = divmod(int(r) + 1, q)
+    what, (r,) = index_arrays("f_tilde", model.scheme.T, r=r)
+    m, v = np.divmod(r + 1, q)
     prefix = model._prefix
-    return in_range(f"f_tilde(r={r})", lambda: prefix[q] ** m * prefix[v])
+    return in_range(what, lambda: powers(prefix[q], m) * prefix[v])
 
 
-def _f_tilde_ratio(model: MarkovCovarianceModel, a: int, b: int) -> float:
-    # ftilde(a) / ftilde(b) without forming either product separately,
-    # so large kappa cannot overflow the intermediate.
-    q = model.scheme.q
-    ma, va = divmod(int(a) + 1, q)
-    mb, vb = divmod(int(b) + 1, q)
-    prefix = model._prefix
-    return prefix[q] ** (ma - mb) * (prefix[va] / prefix[vb])
-
-
-def covariance_W(model: MarkovCovarianceModel, kappa: int, tau: int) -> float:
+def covariance_W(model: MarkovCovarianceModel, kappa, tau) -> np.ndarray:
     """Covariance R_kappa(tau) = E[W(kappa + tau) W(kappa)] of the flat sequence.
 
+    ``kappa`` and ``tau`` are integers or integer arrays that broadcast
+    together; the result has their shape, a ``numpy.float64`` for integers.
     Both sample indices must be >= 0 (kappa and kappa + tau), otherwise
     NegativeKappa is raised.  Negative lags are evaluated through the
     symmetry R_kappa(-tau) = R_{kappa - tau}(tau).  RangeOverflow is raised
-    when a power, a partial product or the result leaves double range.
+    when a power, a partial product or a result leaves double range.
     """
-    kappa = int(kappa)
-    tau = int(tau)
-    if kappa < 0:
-        raise NegativeKappa(f"kappa must be >= 0, got {kappa}")
-    if kappa + tau < 0:
-        raise NegativeKappa(
-            f"kappa + tau must be >= 0, got {kappa} + {tau} = {kappa + tau}"
-        )
-    if tau < 0:
-        kappa, tau = kappa + tau, -tau
-    scheme = model.scheme
-    t, s = divmod(tau, scheme.q)
-    n, u = split_index(kappa, scheme.q)
-    ladder = 2 * n * scheme.T * scheme.H
+    scheme, q = model.scheme, model.scheme.q
+    what, (kappa, tau) = index_arrays("covariance_W", scheme.T, kappa=kappa, tau=tau)
+    # the earlier sample and the lag from it to the later one
+    lo = np.minimum(kappa, kappa + tau)
+    if (lo < 0).any():
+        raise NegativeKappa(f"{what}: kappa and kappa + tau must be >= 0")
+    t, s = np.divmod(np.abs(tau), q)
+    n, u = np.divmod(lo, q)
+    m, v = np.divmod(lo + s, q)
+    prefix = model._prefix
+    # ftilde(q-1)**t * ftilde(lo+s-1) / ftilde(lo-1) * R_lo(0), the ratio
+    # formed as prefix[q]**(m-n) * (prefix[v] / prefix[u])
     return in_range(
-        f"covariance_W(kappa={kappa}, tau={tau})",
-        lambda: model.ftilde_q ** t
-        * _f_tilde_ratio(model, kappa + s - 1, kappa - 1)
-        * (scheme.alpha ** ladder * float(model.R0[u])),
+        what,
+        lambda: powers(prefix[q], t)
+        * (powers(prefix[q], m - n) * (prefix[v] / prefix[u]))
+        * (powers(scheme.alpha, 2 * n * scheme.T * scheme.H) * model.R0[u]),
     )
 
 
-def covariance_V(model: MarkovCovarianceModel, n: int, tau: int) -> np.ndarray:
-    """Lag matrix Q(n, tau) of the blocked view, for integer n and tau >= 0.
+def covariance_V(model: MarkovCovarianceModel, n, tau) -> np.ndarray:
+    """Lag matrices Q(n, tau) of the blocked view, for integers n and tau >= 0.
 
     Entry [u, v] is E[V^u(n + tau) V^v(n)] with V^u(n) = W(n*q + u), and
     the exact scale ladder Q(n, tau) = alpha**(2*n*T*H) * Q(0, tau) holds.
-    Built from the model's rank-one factor as ftilde(q-1)**tau * A[u, v],
-    which holds entrywise for tau >= 1 and on the lower triangle u >= v at
-    tau = 0; the strict upper triangle at tau = 0 is the symmetric mirror.
-    The result therefore always equals the entrywise assembly from
-    :func:`covariance_W`.  A negative tau raises BadIndex; a power, partial
-    product or result outside double range raises RangeOverflow.
+    ``n`` and ``tau`` are integers or integer arrays that broadcast
+    together, and the result has their shape + (q, q).  Built from the
+    model's rank-one factor as ftilde(q-1)**tau * A[u, v], which holds
+    entrywise for tau >= 1 and on the lower triangle u >= v at tau = 0; the
+    strict upper triangle at tau = 0 is the symmetric mirror.  The result
+    therefore always equals the entrywise assembly from :func:`covariance_W`.
+    A negative tau raises BadIndex; a power, partial product or result
+    outside double range raises RangeOverflow.
     """
-    if tau < 0:
-        raise BadIndex(f"tau must be >= 0, got {tau}")
     scheme = model.scheme
-    ladder = 2 * n * scheme.T * scheme.H
-    matrix = arrays_in_range(
-        f"covariance_V(n={n}, tau={tau})",
-        lambda: scheme.alpha ** ladder * (model.ftilde_q ** tau * model._rank_one),
+    what, (n, tau) = index_arrays("covariance_V", scheme.T, n=n, tau=tau)
+    if (tau < 0).any():
+        raise BadIndex(f"{what}: tau must be >= 0")
+    ladder = 2 * n[..., None, None] * scheme.T * scheme.H
+    matrix = in_range(
+        what,
+        lambda: powers(scheme.alpha, ladder)
+        * (powers(model.ftilde_q, tau[..., None, None]) * model._rank_one),
     )
-    if tau == 0:
+    if (tau == 0).any():
         iu, jv = np.triu_indices(scheme.q, k=1)
-        matrix[iu, jv] = matrix[jv, iu]
+        mirror = np.where((tau == 0)[..., None], matrix[..., jv, iu], matrix[..., iu, jv])
+        matrix[..., iu, jv] = mirror
     return matrix
 
 
@@ -256,7 +254,7 @@ def model_from_sbm(scheme: SamplingScheme) -> MarkovCovarianceModel:
     lam = scheme.scale
     hp = scheme.H - 0.5
     s = np.asarray(scheme.s, dtype=float)
-    R0 = arrays_in_range("model_from_sbm variances R0", lambda: lam ** (2 * hp) * s)
+    R0 = in_range("model_from_sbm variances R0", lambda: lam ** (2 * hp) * s)
     R1 = R0.copy()
     R1[-1] = in_range(
         "model_from_sbm wrap product R1[q-1]", lambda: lam ** (3 * hp) * scheme.s[-1]
@@ -276,10 +274,7 @@ def doob_factorization(
     nondecreasing in kappa.  RangeOverflow is raised when a factor leaves
     double range, as G does where Hfac underflowed to 0.
     """
-    kappas = [int(k) for k in kappa_range]
-    for k in kappas:
-        if k < 0:
-            raise NegativeKappa(f"kappa must be >= 0, got {k}")
-    hfac = np.array([f_tilde(model, k - 1) for k in kappas])
-    var = np.array([covariance_W(model, k, 0) for k in kappas])
-    return arrays_in_range("doob_factorization G", lambda: var / hfac), hfac
+    kappas = np.asarray(list(kappa_range))
+    var = covariance_W(model, kappas, 0)
+    hfac = f_tilde(model, kappas - 1)
+    return in_range("doob_factorization G", lambda: var / hfac), hfac

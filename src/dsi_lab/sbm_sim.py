@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import SamplingScheme, arrays_in_range, in_range, sample_points, sample_time
+from .core import SamplingScheme, in_range, index_arrays, powers, sample_points, sample_time
 from .errors import BadIndex, NegativeKappa, RangeTooSmall
 
 _SEED_BOUND = 2 ** 64
@@ -70,24 +70,24 @@ class PathEnsemble(NamedTuple):
     paths: np.ndarray
 
 
-def sbm_covariance_exact(scheme: SamplingScheme, kappa1: int, kappa2: int) -> float:
+def sbm_covariance_exact(scheme: SamplingScheme, kappa1, kappa2) -> np.ndarray:
     """Exact covariance E[X(t_kappa1) X(t_kappa2)] of the reference process.
 
     Closed form lambda**((b1 + b2) * H') * min(t1, t2) with band indices
-    b_i = floor(kappa_i / q) + 1.  Both indices must be >= 0.  RangeOverflow
-    is raised when a sample time, the band power or the result leaves
-    double range.
+    b_i = floor(kappa_i / q) + 1.  ``kappa1`` and ``kappa2`` are integers or
+    integer arrays that broadcast together; the result has their shape, a
+    ``numpy.float64`` for integers.  Both indices must be >= 0, otherwise
+    NegativeKappa is raised.  RangeOverflow is raised when a sample time, a
+    band power or a result leaves double range.
     """
-    if kappa1 < 0 or kappa2 < 0:
-        raise NegativeKappa(f"indices must be >= 0, got ({kappa1}, {kappa2})")
-    lam = scheme.scale
-    hp = scheme.H - 0.5
-    t_min = min(sample_time(scheme, kappa1), sample_time(scheme, kappa2))
-    bands = int(kappa1) // scheme.q + int(kappa2) // scheme.q + 2
-    return in_range(
-        f"sbm_covariance_exact(kappa1={kappa1}, kappa2={kappa2})",
-        lambda: lam ** (bands * hp) * t_min,
+    what, (kappa1, kappa2) = index_arrays(
+        "sbm_covariance_exact", scheme.T, kappa1=kappa1, kappa2=kappa2
     )
+    if (kappa1 < 0).any() or (kappa2 < 0).any():
+        raise NegativeKappa(f"{what}: indices must be >= 0")
+    t_min = np.minimum(sample_time(scheme, kappa1), sample_time(scheme, kappa2))
+    bands = kappa1 // scheme.q + kappa2 // scheme.q + 2
+    return in_range(what, lambda: powers(scheme.scale, bands * (scheme.H - 0.5)) * t_min)
 
 
 def _seed_value(seed) -> int:
@@ -169,7 +169,7 @@ def simulate_paths(
         np.cumsum(z, axis=1, out=z)
         return np.multiply(z, lam ** (bands * hp), out=z)
 
-    arrays_in_range(
+    in_range(
         f"paths over kappa in [{kappa_min}, {kappa_max}] with H = {scheme.H}", synthesize
     )
 
@@ -195,7 +195,7 @@ def _product_moment(ensemble: PathEnsemble, k1: int, k2: int) -> EstimateWithErr
         products = a * b
         return products.mean(), products.std(ddof=1) / math.sqrt(P)
 
-    value, std_error = arrays_in_range(f"moment of W({k1}) W({k2}) over {P} paths", moments)
+    value, std_error = in_range(f"moment of W({k1}) W({k2}) over {P} paths", moments)
     return EstimateWithError(float(value), float(std_error))
 
 

@@ -44,7 +44,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import SamplingScheme, arrays_in_range
+from .core import SamplingScheme, in_range
 from .errors import (
     BadInterval,
     GridTooCoarse,
@@ -230,7 +230,7 @@ def spectral_series(
             )
         return K[None, :, :] * acc
 
-    matrices = arrays_in_range("spectral_series density", density)
+    matrices = in_range("spectral_series density", density)
     return SpectralEvaluation(
         omegas=omegas,
         matrices=matrices,
@@ -278,7 +278,7 @@ def spectral_markov(model: MarkovCovarianceModel, omegas) -> SpectralEvaluation:
             A[None, :, :] * d[:, None, None] + A.T[None, :, :] * d2[:, None, None]
         )
 
-    mats = arrays_in_range("spectral_markov density", density)
+    mats = in_range("spectral_markov density", density)
     return SpectralEvaluation(omegas=omegas, matrices=_mirror_upper(mats))
 
 
@@ -312,7 +312,7 @@ def spectral_sbm(scheme: SamplingScheme, omegas) -> SpectralEvaluation:
             sv[None, :, :] * d1[:, None, None] - su[None, :, :] * d2[:, None, None]
         )
 
-    mats = arrays_in_range("spectral_sbm density", density)
+    mats = in_range("spectral_sbm density", density)
     return SpectralEvaluation(omegas=omegas, matrices=_mirror_upper(mats))
 
 
@@ -371,7 +371,7 @@ def invert_spectrum(
     log_t = tau_arr * (scheme.T * math.log(scheme.alpha))
     log_scale = scheme.H * (log_t[:, None, None] + np.add.outer(log_s, log_s))
     # the rectangle-rule sums at all lags are one inverse FFT, read at tau mod M
-    full = arrays_in_range(
+    full = in_range(
         "invert_spectrum rescaled lag matrices",
         lambda: np.exp(log_scale)
         * (_TWO_PI * np.fft.ifft(evaluation.matrices, axis=0)[tau_arr % M]),
@@ -416,7 +416,7 @@ def spectral_distribution_interval(b, lo: float, hi: float) -> complex:
     tau = np.concatenate([np.arange(-N, 0), np.arange(1, N + 1)])
     coeff = np.concatenate([b[:N], b[N + 1:]])
     kernel = (np.exp(-1j * hi * tau) - np.exp(-1j * lo * tau)) / (-1j * tau)
-    mass = arrays_in_range(
+    mass = in_range(
         "spectral_distribution_interval mass",
         lambda: (hi - lo) / _TWO_PI * b[N] + (coeff * kernel).sum() / _TWO_PI,
     )

@@ -118,3 +118,19 @@ def wide_models(draw) -> tuple[SamplingScheme, list[float], list[float]]:
         for r, a, b in zip(rhos, log_r0, log_next)
     ]
     return scheme, R0, R1
+
+
+def wide_indices(min_value: int = -5000) -> st.SearchStrategy:
+    """A sample index or a 1-D array of them, for the closed forms to accept
+    or reject.
+
+    Entries are integers in [min_value, 5000], integers up to +-2**70 (an
+    array holding one past int64 is an object array), or floats: integral,
+    fractional, infinite or NaN.
+    """
+    entries = st.one_of(
+        st.integers(min_value=min_value, max_value=5000),
+        st.integers(min_value=-(2 ** 70), max_value=2 ** 70),
+        st.floats(),
+    )
+    return st.one_of(entries, st.lists(entries, min_size=1, max_size=5).map(np.array))

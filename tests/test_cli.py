@@ -651,3 +651,32 @@ class TestVerify:
         assert (
             r1.parent / "report_estimates.csv"
         ).read_bytes() == (r2.parent / "report_estimates.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "scheme_flags, report_digest, estimates_digest",
+        [
+            (
+                [],
+                "595b0e96b93d5e4a5bed5356d2de63382965b700ecf2816af9f83d54ffacc28f",
+                "b2b35aef8e877bdb8a2fa81b17f7bf5e1d8027f21a4a2e5061e95987f33629be",
+            ),
+            (
+                Q3_FLAGS,
+                "518fe52f51ba3697d322f0ad3e3b6485b6cf185c67cfe564096c2a173d82ba66",
+                "a7ab55163ea53db2c1aca910c9cf21b742dabfc749475bcc51ef4c6ac04924f0",
+            ),
+        ],
+        ids=["canonical", "q3"],
+    )
+    def test_verify_bytes_pinned(
+        self, tmp_path, capsys, scheme_flags, report_digest, estimates_digest
+    ):
+        # frozen sha256 of both files: every check's observed value, the
+        # Monte Carlo estimates and the analytic moments must stay
+        # bit-for-bit stable
+        report = tmp_path / "report.csv"
+        argv = ["verify", "--seed", "5", "--paths", "2000", *scheme_flags]
+        assert run(argv + ["--out", str(report)]) == 0
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == report_digest
+        estimates = tmp_path / "report_estimates.csv"
+        assert hashlib.sha256(estimates.read_bytes()).hexdigest() == estimates_digest

@@ -20,7 +20,7 @@ from dsi_lab import (
     split_index,
     validate_scheme,
 )
-from conftest import make_scheme, random_scheme, wide_schemes
+from conftest import make_scheme, random_scheme, wide_indices, wide_schemes
 
 
 class TestSplitIndex:
@@ -195,14 +195,32 @@ class TestSampleGeometry:
         # 2**-1023 is subnormal but above 1 / DBL_MAX, so it has not flushed
         assert sample_time(canonical_scheme, -2046) == 2.0 ** -1023
 
+    @pytest.mark.parametrize("kappa", [2 ** 70, -(2 ** 70), 2 ** 62, 2 ** 64])
+    def test_index_past_int64_arithmetic(self, canonical_scheme, kappa):
+        with pytest.raises(RangeOverflow):
+            sample_time(canonical_scheme, kappa)
+
+    @pytest.mark.parametrize("kappa", [2.5, math.nan, math.inf, [0, 1.5]])
+    def test_non_integral_index(self, canonical_scheme, kappa):
+        with pytest.raises(BadIndex):
+            sample_time(canonical_scheme, kappa)
+
+    def test_array_of_times(self, canonical_scheme):
+        # an integral float counts as its value; a scalar gives numpy.float64
+        t = sample_time(canonical_scheme, 3.0)
+        assert type(t) is np.float64 and t == 3.0
+        times = sample_time(canonical_scheme, np.arange(-2, 4).reshape(2, 3))
+        assert times.tolist() == [[0.5, 0.75, 1.0], [1.5, 2.0, 3.0]]
+
     @settings(max_examples=100, deadline=None)
-    @given(scheme=wide_schemes(), kappa=st.integers(min_value=-5000, max_value=5000))
+    @given(scheme=wide_schemes(), kappa=wide_indices())
     def test_sample_time_finite_or_error(self, scheme, kappa):
         try:
             t = sample_time(scheme, kappa)
         except DsiLabError:
             return
-        assert math.isfinite(t) and t > 0.0
+        assert t.shape == np.shape(kappa)
+        assert np.isfinite(t).all() and (t > 0.0).all()
 
     @settings(max_examples=100, deadline=None)
     @given(

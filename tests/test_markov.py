@@ -23,7 +23,7 @@ from dsi_lab import (
     sbm_covariance_exact,
     validate_scheme,
 )
-from conftest import make_scheme, random_stable_model, wide_models, wide_schemes
+from conftest import make_scheme, random_stable_model, wide_indices, wide_models, wide_schemes
 
 SQRT2 = math.sqrt(2.0)
 
@@ -85,15 +85,19 @@ class TestFTilde:
         assert f_tilde(tiny, 1) == 0.0
         with pytest.raises(RangeOverflow):
             f_tilde(tiny, -3)
+        with pytest.raises(RangeOverflow):
+            f_tilde(canonical_model, 2 ** 70)
+        with pytest.raises(BadIndex):
+            f_tilde(canonical_model, 0.5)
 
     @settings(max_examples=75, deadline=None)
-    @given(drawn=wide_models(), r=st.integers(min_value=-5000, max_value=5000))
+    @given(drawn=wide_models(), r=wide_indices())
     def test_finite_or_error(self, drawn, r):
         try:
             value = f_tilde(build(drawn), r)
         except DsiLabError:
             return
-        assert math.isfinite(value)
+        assert value.shape == np.shape(r) and np.isfinite(value).all()
 
     def test_reference_model_cycle_product(self):
         for H in (0.5, 0.75, 1.0, 1.25):
@@ -286,6 +290,27 @@ class TestCovarianceW:
         with pytest.raises(NegativeKappa):
             covariance_W(canonical_model, 1, -2)
 
+    def test_indices_are_never_truncated_or_wrapped(self, canonical_model):
+        # an earlier form truncated 1.5 to 1 and returned R_1(0) = 3.0; an
+        # int64 form without a bound wrapped 2**62 + 2**62 to a negative index
+        for kappa in (1.5, math.nan, [0, 0.5]):
+            with pytest.raises(BadIndex):
+                covariance_W(canonical_model, kappa, 0)
+        with pytest.raises(BadIndex):
+            covariance_W(canonical_model, 0, -0.5)
+        for kappa, tau in ((2 ** 62, 2 ** 62), (2 ** 70, 0), (0, -(2 ** 70))):
+            with pytest.raises(RangeOverflow):
+                covariance_W(canonical_model, kappa, tau)
+        assert covariance_W(canonical_model, 1.0, 0) == 3.0
+
+    def test_index_arrays_broadcast(self, canonical_model):
+        got = covariance_W(canonical_model, np.arange(1, 5)[:, None], np.arange(-1, 3))
+        assert got.shape == (4, 4)
+        assert got[1].tolist() == [covariance_W(canonical_model, 2, t) for t in range(-1, 3)]
+        assert type(covariance_W(canonical_model, 0, 0)) is np.float64
+        with pytest.raises(BadIndex):
+            covariance_W(canonical_model, [0, 1], [0, 1, 2])
+
     def test_overflow_raises_range_overflow(self, canonical_model):
         # cycle n = 511: variance 2**1022 * R0[0] = 2**1023 is the largest
         # power of two below the double limit
@@ -299,17 +324,16 @@ class TestCovarianceW:
             covariance_W(canonical_model, 0, 100000)
 
     @settings(max_examples=75, deadline=None)
-    @given(
-        drawn=wide_models(),
-        kappa=st.integers(min_value=0, max_value=5000),
-        tau=st.integers(min_value=-5000, max_value=5000),
-    )
+    @given(drawn=wide_models(), kappa=wide_indices(min_value=0), tau=wide_indices())
     def test_finite_or_error(self, drawn, kappa, tau):
+        # an array kappa is a column, so that it broadcasts against tau
+        kappa = kappa[:, None] if isinstance(kappa, np.ndarray) else kappa
         try:
             value = covariance_W(build(drawn), kappa, tau)
         except DsiLabError:
             return
-        assert math.isfinite(value)
+        assert value.shape == np.broadcast_shapes(np.shape(kappa), np.shape(tau))
+        assert np.isfinite(value).all()
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -400,6 +424,20 @@ class TestCovarianceV:
     def test_negative_tau_rejected(self, canonical_model):
         with pytest.raises(BadIndex):
             covariance_V(canonical_model, 0, -1)
+        with pytest.raises(BadIndex):
+            covariance_V(canonical_model, 1.5, 0)
+
+    def test_index_arrays_equal_scalar_calls(self):
+        # the lag-zero mirror applies only to the tau = 0 entries of a grid
+        rng = np.random.default_rng(5)
+        n, tau = np.ix_(range(-3, 4), range(6))
+        for q in range(1, 6):
+            model = random_stable_model(rng, q)
+            mats = covariance_V(model, n, tau)
+            assert mats.shape == (7, 6, q, q)
+            assert mats.tolist() == [
+                [covariance_V(model, k, t).tolist() for t in range(6)] for k in range(-3, 4)
+            ]
 
     def test_overflow_raises_range_overflow(self, canonical_model):
         # ftilde(q-1) = sqrt(2): tau = 2000 gives 2**1000, tau = 100000 overflows

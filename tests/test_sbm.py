@@ -21,7 +21,7 @@ from dsi_lab import (
     sbm_covariance_exact,
     simulate_paths,
 )
-from conftest import make_scheme, random_scheme, wide_schemes
+from conftest import make_scheme, random_scheme, wide_indices, wide_schemes
 
 SQRT2 = math.sqrt(2.0)
 
@@ -82,21 +82,30 @@ class TestExactCovariance:
     @settings(max_examples=100, deadline=None)
     @given(
         scheme=wide_schemes(),
-        kappa1=st.integers(min_value=0, max_value=5000),
-        kappa2=st.integers(min_value=0, max_value=5000),
+        kappa1=wide_indices(min_value=0),
+        kappa2=wide_indices(min_value=0),
     )
     def test_finite_or_error(self, scheme, kappa1, kappa2):
+        # an array kappa1 is a column, so that it broadcasts against kappa2
+        kappa1 = kappa1[:, None] if isinstance(kappa1, np.ndarray) else kappa1
         try:
             value = sbm_covariance_exact(scheme, kappa1, kappa2)
         except DsiLabError:
             return
-        assert math.isfinite(value)
+        assert value.shape == np.broadcast_shapes(np.shape(kappa1), np.shape(kappa2))
+        assert np.isfinite(value).all()
 
     def test_negative_index_rejected(self, canonical_scheme):
         with pytest.raises(NegativeKappa):
             sbm_covariance_exact(canonical_scheme, -1, 0)
         with pytest.raises(NegativeKappa):
             sbm_covariance_exact(canonical_scheme, 0, -3)
+
+    def test_indices_are_never_truncated_or_wrapped(self, canonical_scheme):
+        with pytest.raises(BadIndex):
+            sbm_covariance_exact(canonical_scheme, 1.5, 0)
+        with pytest.raises(RangeOverflow):
+            sbm_covariance_exact(canonical_scheme, 2 ** 62, 2 ** 62)
 
 
 class TestSimulation:
