@@ -22,10 +22,16 @@ of those strings and the fixed prefix, comma and newline pieces;
 split into contiguous parts of blocks, one per CPU the process may use:
 this process writes the first part while one forked worker per other part
 formats it into a pipe, and the pipes are copied into the file in part
-order, so the output bytes do not depend on the CPU count.  Floats are
-written in shortest round-trip form and the simulator draws each block of
-4096 paths from one counter-based stream keyed by (seed, block), so
-repeated runs of one configuration produce byte-identical files.
+order, so the output bytes do not depend on the CPU count.  ``verify``
+likewise runs its spectral half (closed forms, series, reference density
+and inversion) in one forked worker while this process runs the random
+half (the frame round trip and the Monte Carlo estimates), and reads the
+worker's checks back through a pipe; on one CPU both run here, with the
+same bytes and the same errors.  A worker makes no BLAS call, so the fork
+is safe while numpy's BLAS threads exist.  Floats are written in shortest
+round-trip form and the simulator draws each block of 4096 paths from one
+counter-based stream keyed by (seed, block), so repeated runs of one
+configuration produce byte-identical files.
 
 Exit codes: 0 success (verify: all checks passed), 1 verify check failed,
 2 configuration or domain error, 3 unstable model, 4 I/O failure.
@@ -36,8 +42,10 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import pickle
 import shutil
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from typing import BinaryIO, NamedTuple
 
@@ -232,12 +240,15 @@ def _format_blocks(keys, prefixes: list[str], flat, lo: int, hi: int):
 def _fork_part(chunks, open_pipes: list[BinaryIO]) -> tuple[int, BinaryIO]:
     """Fork a worker that writes ``chunks`` to a pipe; return (pid, read end).
 
-    The worker holds its whole part in memory, because the parent reads the
-    pipe only after its own part, and ends with ``os._exit``: it never
-    returns into the caller, runs no ``atexit`` hooks and flushes no stdio.
-    It formats Python objects and numpy object arrays of strings only, with
-    no BLAS call, so no lock held by another thread of the parent (numpy's
-    BLAS pool, say) is ever taken in the worker.
+    ``chunks`` is an iterable of bytes, run in the worker: a part of a CSV
+    table, or ``verify``'s spectral half.  The worker holds its whole output
+    in memory, because the parent reads the pipe only after its own work,
+    and ends with ``os._exit``: it never returns into the caller, runs no
+    ``atexit`` hooks and flushes no stdio.  It formats Python objects and
+    numpy object arrays of strings, or computes elementwise numpy forms,
+    reductions and one ``numpy.fft`` transform (pocketfft, not BLAS); none
+    of this makes a BLAS call, so no lock held by another thread of the
+    parent (numpy's BLAS pool, say) is ever taken in the worker.
     """
     r, w = os.pipe()
     try:
@@ -263,6 +274,34 @@ def _fork_part(chunks, open_pipes: list[BinaryIO]) -> tuple[int, BinaryIO]:
     return pid, open(r, "rb")
 
 
+@contextmanager
+def _reaped(what: str):
+    """Yield a list for forked ``(pid, read end)`` workers; reap them on exit.
+
+    On exit every pipe is closed, which lets a worker blocked on a full pipe
+    exit, and every worker is waited for.  If the body raised, its error
+    propagates and the workers, whose output nobody will read, are killed
+    first; otherwise a worker that exited nonzero raises OSError.
+    """
+    workers: list[tuple[int, BinaryIO]] = []
+    try:
+        yield workers
+    except BaseException:
+        # imported here: its import costs about 1 ms that every run would pay
+        import signal
+
+        for pid, _ in workers:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for _, pipe in workers:
+            pipe.close()
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in workers]
+    failed = [code for code in codes if code]
+    if failed:
+        raise OSError(f"{len(failed)} of {len(codes)} {what} workers failed (exit codes {failed})")
+
+
 def _write_blocks(path: str, header: str, keys, prefixes: list[str], values) -> int:
     """Write one block of rows per key to a CSV table; return the row count.
 
@@ -285,22 +324,13 @@ def _write_blocks(path: str, header: str, keys, prefixes: list[str], values) -> 
     bounds = [n_blocks * i // n_parts for i in range(n_parts + 1)]
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
-        workers: list[tuple[int, BinaryIO]] = []
-        try:
+        with _reaped("CSV") as workers:
             for lo, hi in zip(bounds[1:-1], bounds[2:]):
                 chunks = _format_blocks(keys, prefixes, flat, lo, hi)
                 workers.append(_fork_part(chunks, [pipe for _, pipe in workers]))
             fh.writelines(_format_blocks(keys, prefixes, flat, 0, bounds[1]))
             for _, pipe in workers:
                 shutil.copyfileobj(pipe, fh)
-        finally:
-            # closing every pipe first lets a worker blocked on a full pipe exit
-            for _, pipe in workers:
-                pipe.close()
-            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in workers]
-    failed = [code for code in codes if code]
-    if failed:
-        raise OSError(f"{len(failed)} of {len(codes)} CSV workers failed (exit codes {failed})")
     return n_blocks * rows
 
 
@@ -379,7 +409,7 @@ def _rel_err(got, want) -> np.ndarray:
     return np.abs(got - want) / np.maximum(np.abs(want), 1e-300)
 
 
-def _verify_checks(cfg: RunConfig):
+def _verify_spectral(cfg: RunConfig) -> list[tuple[str, float, float]]:
     # (name, observed, tolerance): a check passes when |observed| <= tolerance
     checks: list[tuple[str, float, float]] = []
     scheme = cfg.scheme
@@ -434,6 +464,13 @@ def _verify_checks(cfg: RunConfig):
     worst = np.max(np.abs(rec.matrices - want) / np.abs(want))
     checks.append(("inversion_roundtrip", worst, 1e-6))
     checks.append(("inversion_imag_residue", rec.imag_residue, 1e-8))
+    return checks
+
+
+def _verify_random(cfg: RunConfig) -> tuple[float, float, list[str]]:
+    # the checks that draw random numbers: (frame round trip, worst |z|,
+    # estimates rows)
+    scheme = cfg.scheme
 
     # frame change round trip on a deterministic grid
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
@@ -447,12 +484,12 @@ def _verify_checks(cfg: RunConfig):
         float(np.max(np.abs(back.times - grid.times))),
         float(np.max(np.abs(back.values - grid.values))),
     )
-    checks.append(("frame_roundtrip", rt, 1e-12))
 
-    # Monte Carlo moments within three standard errors
+    # Monte Carlo moments against the analytic R_j(0), R_j(1)
     ensemble = _simulate(cfg)
     r0_hat, r1_hat = estimate_R(ensemble)
-    analytics = covariance_W(model, np.arange(q)[:, None], (0, 1)).tolist()
+    q = scheme.q
+    analytics = covariance_W(model_from_sbm(scheme), np.arange(q)[:, None], (0, 1)).tolist()
     worst_z = 0.0
     estimates_rows: list[str] = []
     for j in range(q):
@@ -461,8 +498,50 @@ def _verify_checks(cfg: RunConfig):
             z = (est.value - analytic) / est.std_error
             worst_z = max(worst_z, abs(z))
             estimates_rows.append(f"{j},{lag},{est.value!r},{est.std_error!r},{analytic!r},{z!r}")
-    checks.append(("monte_carlo_moments_zmax", worst_z, 3.0))
+    return rt, worst_z, estimates_rows
 
+
+def _pickled_spectral_half(cfg: RunConfig):
+    # one pickle of _verify_spectral's checks or of the exception it raised,
+    # the same bytes whether it runs in a worker or in this process
+    try:
+        result = _verify_spectral(cfg)
+    except Exception as exc:
+        result = exc
+    yield pickle.dumps(result)
+
+
+def _verify_checks(cfg: RunConfig):
+    """The report's checks, in report order, and the estimates rows.
+
+    With more than one usable CPU, one forked worker runs the spectral half
+    while this process runs the random half; on one CPU the spectral half
+    runs here first.  Errors keep the serial order: the spectral half's
+    error wins, re-raised here with its class and message, then the random
+    half's.  A worker that dies without sending its result raises OSError,
+    as does one whose error cannot be pickled (on one CPU that pickling
+    error propagates instead).
+    """
+    spectral_half = _pickled_spectral_half(cfg)
+    with _reaped("verify") as workers:
+        if _usable_cpus() > 1:
+            workers.append(_fork_part(spectral_half, []))
+        else:
+            spectral_half = [b"".join(spectral_half)]
+        # held until the spectral half's outcome is read
+        try:
+            random_half = _verify_random(cfg)
+        except Exception as exc:
+            random_half = exc
+        data = workers[0][1].read() if workers else spectral_half[0]
+    checks = pickle.loads(data)
+    for outcome in (checks, random_half):
+        if isinstance(outcome, Exception):
+            raise outcome
+    rt, worst_z, estimates_rows = random_half
+    checks.append(("frame_roundtrip", rt, 1e-12))
+    # Monte Carlo moments within three standard errors
+    checks.append(("monte_carlo_moments_zmax", worst_z, 3.0))
     return checks, estimates_rows
 
 

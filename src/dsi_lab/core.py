@@ -200,21 +200,29 @@ def split_index(kappa: int, q: int) -> tuple[int, int]:
     """Split a flat index into the (cycle, offset) pair, kappa = n*q + u.
 
     Uses floor division, so negative kappa maps to the unique pair with
-    0 <= u < q (e.g. split_index(-1, 3) == (-1, 2)).
+    0 <= u < q (e.g. split_index(-1, 3) == (-1, 2)).  kappa and q are read
+    by :func:`index_arrays`: a non-integral one raises BadIndex (an integral
+    float counts as its value) and one with |k| >= 2**61 RangeOverflow.
     """
+    _, (kappa, q) = index_arrays("split_index", 1, kappa=kappa, q=q)
+    kappa, q = kappa.item(), q.item()
     if q < 1:
         raise BadIndex(f"q must be >= 1, got {q}")
-    n, u = divmod(int(kappa), int(q))
-    return n, u
+    return divmod(kappa, q)
 
 
 def embed_index(n: int, u: int, q: int) -> int:
-    """Inverse of :func:`split_index`: kappa = n*q + u with 0 <= u < q."""
+    """Inverse of :func:`split_index`: kappa = n*q + u with 0 <= u < q.
+
+    n, u and q are read by :func:`index_arrays`, as in :func:`split_index`.
+    """
+    _, (n, u, q) = index_arrays("embed_index", 1, n=n, u=u, q=q)
+    n, u, q = n.item(), u.item(), q.item()
     if q < 1:
         raise BadIndex(f"q must be >= 1, got {q}")
     if not (0 <= u < q):
         raise OffsetOutOfRange(f"offset index u must satisfy 0 <= u < {q}, got {u}")
-    return int(n) * int(q) + int(u)
+    return n * q + u
 
 
 class SampleGrid(NamedTuple):

@@ -3,13 +3,14 @@
 import hashlib
 import math
 import os
+import signal
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from dsi_lab import DsiLabError, cli, covariance_V, model_from_sbm, validate_scheme
+from dsi_lab import DsiLabError, RangeOverflow, cli, covariance_V, model_from_sbm, validate_scheme
 from dsi_lab.cli import main
 
 
@@ -26,9 +27,24 @@ def set_cpus(monkeypatch, n):
 
 
 def assert_no_child():
-    # every forked CSV worker has been reaped
+    # every forked worker has been reaped
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def count_forks(monkeypatch):
+    """Let ``os.fork`` work, and return a list that grows by one per fork."""
+    forks = []
+    if not hasattr(os, "fork"):
+        return forks
+    real_fork = os.fork
+
+    def fork():
+        forks.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
 
 
 @pytest.fixture
@@ -474,9 +490,12 @@ class TestCliProperty:
                    "--omega-points=8", "--tau-max=0"])
     def test_main_returns_an_exit_code(self, tmp_path, capsys, argv):
         # every input argparse accepts ends in an exit code: no exception,
-        # and no numpy warning (an error under this suite's warning filter)
+        # and no numpy warning (an error under this suite's warning filter),
+        # from this process or re-raised from a verify worker; the output is
+        # writable, so no run ends in an I/O failure (4)
         code = main(argv + ["--out", str(tmp_path / "out.csv")])
-        assert code in ({0, 1, 2, 3, 4} if "verify" in argv else {0, 2, 3, 4})
+        assert_no_child()
+        assert code in ({0, 1, 2, 3} if "verify" in argv else {0, 2, 3})
 
 
 def template_rows(keys, prefixes, values):
@@ -565,14 +584,7 @@ class TestParallelWriter:
         self, tmp_path, capsys, monkeypatch, argv, digest, cpus
     ):
         # digests of the single-process writer; None keeps the real affinity
-        forks = []
-        real_fork = os.fork
-
-        def fork():
-            forks.append(None)
-            return real_fork()
-
-        monkeypatch.setattr(os, "fork", fork)
+        forks = count_forks(monkeypatch)
         if cpus is not None:
             set_cpus(monkeypatch, cpus)
         out = tmp_path / "t.csv"
@@ -668,15 +680,107 @@ class TestVerify:
         ],
         ids=["canonical", "q3"],
     )
+    @pytest.mark.parametrize("cpus", [None, 1, 2, 3], ids=lambda n: f"cpus{n}")
     def test_verify_bytes_pinned(
-        self, tmp_path, capsys, scheme_flags, report_digest, estimates_digest
+        self, tmp_path, capsys, monkeypatch, scheme_flags, report_digest, estimates_digest, cpus
     ):
         # frozen sha256 of both files: every check's observed value, the
         # Monte Carlo estimates and the analytic moments must stay
-        # bit-for-bit stable
+        # bit-for-bit stable, whether or not a worker runs the random half
+        forks = count_forks(monkeypatch)
+        if cpus is not None:
+            set_cpus(monkeypatch, cpus)
         report = tmp_path / "report.csv"
         argv = ["verify", "--seed", "5", "--paths", "2000", *scheme_flags]
         assert run(argv + ["--out", str(report)]) == 0
+        assert_no_child()
+        assert len(forks) == (cli._usable_cpus() > 1)
         assert hashlib.sha256(report.read_bytes()).hexdigest() == report_digest
         estimates = tmp_path / "report_estimates.csv"
         assert hashlib.sha256(estimates.read_bytes()).hexdigest() == estimates_digest
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["--paths", "1"], "RangeTooSmall"),
+            (["--tau-max", "100000000000"], "RangeOverflow"),
+            (["--alpha", "1e200", "--s", "1,2", "--paths", "200"], "RangeOverflow"),
+        ],
+        ids=["random_too_few_paths", "random_overflow", "spectral_overflow"],
+    )
+    def test_errors_do_not_depend_on_cpu_count(self, tmp_path, capsys, monkeypatch, argv, error):
+        # the first two fail in the random half, the last in the spectral
+        # half: one stderr line, the serial order's
+        results = []
+        for cpus in (1, 2):
+            set_cpus(monkeypatch, cpus)
+            code = run(["verify", *argv, "--out", str(tmp_path / "r.csv")])
+            assert_no_child()
+            results.append((code, capsys.readouterr().err))
+        assert results[0] == results[1]
+        code, err = results[0]
+        assert code == 2 and err.startswith(f"error: {error}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=lambda n: f"cpus{n}")
+    def test_spectral_error_wins(self, tmp_path, capsys, monkeypatch, cpus):
+        # both halves fail; the spectral half ran first in the serial order
+        def spectral_fault(cfg):
+            raise RangeOverflow("spectral fault")
+
+        monkeypatch.setattr(cli, "_verify_spectral", spectral_fault)
+        set_cpus(monkeypatch, cpus)
+        out = tmp_path / "r.csv"
+        assert run(["verify", "--paths", "1", "--out", str(out)]) == 2
+        assert_no_child()
+        assert capsys.readouterr().err == "error: RangeOverflow: spectral fault\n"
+        assert not out.exists()
+
+    def test_other_errors_do_not_depend_on_cpu_count(self, tmp_path, monkeypatch):
+        # an error that is not a DsiLabError (a bug, a MemoryError, a numpy
+        # warning made an error) leaves main with its class and message,
+        # whichever process ran the half that raised it
+        def spectral_fault(*args, **kwargs):
+            raise RuntimeError("spectral fault")
+
+        monkeypatch.setattr(cli, "spectral_series", spectral_fault)
+        for cpus in (1, 2):
+            set_cpus(monkeypatch, cpus)
+            with pytest.raises(RuntimeError, match="^spectral fault$"):
+                run(["verify", "--paths", "2000", "--out", str(tmp_path / "r.csv")])
+            assert_no_child()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the spectral half runs in a fork")
+    def test_dead_worker_exit_four(self, tmp_path, capfd, monkeypatch):
+        # a worker killed before it sends its checks (by the OOM killer,
+        # say); capfd, not capsys, so that the worker's own stderr is seen too
+        def killed(cfg):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(cli, "_verify_spectral", killed)
+        set_cpus(monkeypatch, 2)
+        assert run(["verify", "--paths", "2000", "--out", str(tmp_path / "r.csv")]) == 4
+        assert_no_child()
+        err = capfd.readouterr().err
+        assert err == "error: I/O failure: 1 of 1 verify workers failed (exit codes [-9])\n"
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the spectral half runs in a fork")
+    def test_interrupt_kills_the_worker(self, tmp_path, monkeypatch):
+        # the spectral half's checks will not be read, so its worker is
+        # killed, not waited for
+        kills = []
+        real_kill = os.kill
+
+        def interrupted(cfg):
+            raise KeyboardInterrupt
+
+        def kill(pid, sig):
+            kills.append(sig)
+            real_kill(pid, sig)
+
+        monkeypatch.setattr(cli, "_verify_random", interrupted)
+        monkeypatch.setattr(os, "kill", kill)
+        set_cpus(monkeypatch, 2)
+        with pytest.raises(KeyboardInterrupt):
+            run(["verify", "--out", str(tmp_path / "r.csv")])
+        assert_no_child()
+        assert len(kills) == 1

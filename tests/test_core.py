@@ -54,6 +54,23 @@ class TestSplitIndex:
         with pytest.raises(BadIndex):
             split_index(3, 0)
 
+    @pytest.mark.parametrize(
+        "kappa, q", [(1.5, 2), (2, 1.5), (math.nan, 2), (math.inf, 2), ("x", 2)]
+    )
+    def test_rejects_non_integral_index(self, kappa, q):
+        # no truncation: split_index(1.5, 2) was (0, 1)
+        with pytest.raises(BadIndex):
+            split_index(kappa, q)
+
+    def test_integral_float_counts_as_its_value(self):
+        assert split_index(5.0, 2.0) == (2, 1)
+        assert split_index(np.int64(-1), 3) == (-1, 2)
+
+    def test_index_past_int64_range_is_range_overflow(self):
+        # the index_arrays rule: |kappa| < 2**61, so that n*q + u stays in int64
+        with pytest.raises(RangeOverflow):
+            split_index(2 ** 70, 3)
+
 
 class TestEmbedIndex:
     def test_examples(self):
@@ -65,6 +82,18 @@ class TestEmbedIndex:
             embed_index(0, 2, 2)
         with pytest.raises(OffsetOutOfRange):
             embed_index(0, -1, 2)
+
+    @pytest.mark.parametrize(
+        "n, u, q", [(0.5, 1, 2), (0, 0.5, 2), (0, 1, 2.5), (-math.inf, 1, 2), (0, math.nan, 2)]
+    )
+    def test_rejects_non_integral_index(self, n, u, q):
+        # no truncation: embed_index(0.5, 1, 2) was 1
+        with pytest.raises(BadIndex):
+            embed_index(n, u, q)
+
+    def test_integral_float_counts_as_its_value(self):
+        assert embed_index(2.0, 1.0, 2.0) == 5
+        assert type(embed_index(2.0, 1.0, 2.0)) is int
 
     @given(
         kappa=st.integers(min_value=-1000, max_value=1000),
