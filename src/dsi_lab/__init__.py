@@ -57,7 +57,6 @@ from .markov_cov import (
 )
 from .sbm_sim import (
     EstimateWithError,
-    MatrixEstimate,
     PathEnsemble,
     estimate_Q,
     estimate_R,
@@ -89,7 +88,6 @@ __all__ = [
     "GridTooCoarse",
     "InvalidModel",
     "MarkovCovarianceModel",
-    "MatrixEstimate",
     "ModelUnstable",
     "NegativeKappa",
     "NonIncreasingOffsets",

@@ -356,16 +356,16 @@ def _simulate(cfg: RunConfig) -> PathEnsemble:
 
 def cmd_simulate(cfg: RunConfig) -> int:
     """draw reference-process paths and write the ensemble CSV"""
-    q = cfg.scheme.q
     ensemble = _simulate(cfg)
+    grid = ensemble.grid
     # one block per path; kappa, n, u and time are the same in every block
     prefixes = [
-        f",{kappa},{kappa // q},{kappa % q},{t!r}"
-        for kappa, t in enumerate(ensemble.times.tolist())
+        f",{kappa},{n},{u},{t!r}"
+        for kappa, n, u, t in zip(*(column.tolist() for column in grid))
     ]
     header = "path_id,kappa,n,u,time,value"
     _write_blocks(cfg.out, header, range(cfg.paths), prefixes, ensemble.paths)
-    print(f"wrote {cfg.paths} paths x {ensemble.times.size} samples to {cfg.out}")
+    print(f"wrote {cfg.paths} paths x {grid.times.size} samples to {cfg.out}")
     return 0
 
 
@@ -485,20 +485,20 @@ def _verify_random(cfg: RunConfig) -> tuple[float, float, list[str]]:
         float(np.max(np.abs(back.values - grid.values))),
     )
 
-    # Monte Carlo moments against the analytic R_j(0), R_j(1)
-    ensemble = _simulate(cfg)
-    r0_hat, r1_hat = estimate_R(ensemble)
-    q = scheme.q
-    analytics = covariance_W(model_from_sbm(scheme), np.arange(q)[:, None], (0, 1)).tolist()
-    worst_z = 0.0
-    estimates_rows: list[str] = []
-    for j in range(q):
-        for lag, est in ((0, r0_hat[j]), (1, r1_hat[j])):
-            analytic = analytics[j][lag]
-            z = (est.value - analytic) / est.std_error
-            worst_z = max(worst_z, abs(z))
-            estimates_rows.append(f"{j},{lag},{est.value!r},{est.std_error!r},{analytic!r},{z!r}")
-    return rt, worst_z, estimates_rows
+    # Monte Carlo moments against the analytic R_j(0), R_j(1), as (q, 2)
+    # arrays of offset j by lag
+    estimates = estimate_R(_simulate(cfg))
+    value, std_error = (np.stack(field, axis=1) for field in zip(*estimates))
+    analytic = covariance_W(model_from_sbm(scheme), np.arange(scheme.q)[:, None], (0, 1))
+    z = (value - analytic) / std_error
+    # one row per (j, lag): estimate, standard error, analytic value, z-score
+    table = np.stack([value, std_error, analytic, z], axis=-1).tolist()
+    estimates_rows = [
+        f"{j},{lag},{','.join(map(repr, entry))}"
+        for j, lags in enumerate(table)
+        for lag, entry in enumerate(lags)
+    ]
+    return rt, float(np.abs(z).max()), estimates_rows
 
 
 def _pickled_spectral_half(cfg: RunConfig):

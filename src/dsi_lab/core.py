@@ -114,6 +114,27 @@ def index_arrays(name: str, T: int, **indices) -> tuple[str, tuple[np.ndarray, .
         raise BadIndex(f"{name}: index shapes do not broadcast together")
 
 
+def check_index_and_base(H: float, alpha: float) -> None:
+    """Raise BadIndex unless H is finite and > 0, then BadBase unless alpha
+    is finite and > 1: the domain of every scheme and frame change."""
+    if not (H > 0.0 and math.isfinite(H)):
+        raise BadIndex(f"H must be finite and > 0, got {H!r}")
+    if not (alpha > 1.0 and math.isfinite(alpha)):
+        raise BadBase(f"alpha must be finite and > 1, got {alpha!r}")
+
+
+def mirror_lower(matrices: np.ndarray) -> np.ndarray:
+    """Overwrite the strict upper triangle of each trailing square matrix
+    with the conjugate of its lower triangle, in place; return ``matrices``.
+
+    The lower triangle u >= v is authoritative wherever a product form holds
+    only there.  For a real array the conjugate is the values themselves.
+    """
+    iu, jv = np.triu_indices(matrices.shape[-1], k=1)
+    matrices[..., iu, jv] = np.conj(matrices[..., jv, iu])
+    return matrices
+
+
 @dataclass(frozen=True)
 class SamplingScheme:
     """Validated sampling geometry.
@@ -147,10 +168,7 @@ class SamplingScheme:
             raise BadIndex(f"T must be an integer >= 1, got {self.T!r}")
         if not (isinstance(self.q, int) and self.q >= 1):
             raise BadIndex(f"q must be an integer >= 1, got {self.q!r}")
-        if not (self.H > 0.0 and math.isfinite(self.H)):
-            raise BadIndex(f"H must be finite and > 0, got {self.H!r}")
-        if not (self.alpha > 1.0 and math.isfinite(self.alpha)):
-            raise BadBase(f"alpha must be finite and > 1, got {self.alpha!r}")
+        check_index_and_base(self.H, self.alpha)
         if len(self.s) != self.q:
             raise BadIndex(
                 f"offset count {len(self.s)} does not match q = {self.q}"

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TINY, SamplingScheme, in_range, sample_points
-from .errors import BadBase, BadIndex, NonPositivePoint, RangeOverflow
+from .core import TINY, SamplingScheme, check_index_and_base, in_range, sample_points
+from .errors import BadIndex, NonPositivePoint, RangeOverflow
 
 
 def _as_float_vector(x, name: str) -> np.ndarray:
@@ -83,13 +83,6 @@ class SelfSimilarGrid:
         object.__setattr__(self, "values", values)
 
 
-def _check_transform_params(H: float, alpha: float) -> None:
-    if not (alpha > 1.0 and math.isfinite(alpha)):
-        raise BadBase(f"alpha must be finite and > 1, got {alpha!r}")
-    if not (H > 0.0 and math.isfinite(H)):
-        raise BadIndex(f"H must be finite and > 0, got {H!r}")
-
-
 def quasi_lamperti(y: StationaryGrid, H: float, alpha: float) -> SelfSimilarGrid:
     """Map a stationary-side grid to the self-similar side.
 
@@ -100,7 +93,7 @@ def quasi_lamperti(y: StationaryGrid, H: float, alpha: float) -> SelfSimilarGrid
     leaves the double-precision range, or if the smallest point or its
     envelope flushes towards zero.
     """
-    _check_transform_params(H, alpha)
+    check_index_and_base(H, alpha)
 
     def transform():
         points = alpha ** y.times
@@ -123,7 +116,7 @@ def inverse_quasi_lamperti(x: SelfSimilarGrid, H: float, alpha: float) -> Statio
     rescaled value leaves the double-precision range, as it does for tiny
     points.
     """
-    _check_transform_params(H, alpha)
+    check_index_and_base(H, alpha)
     times, values = in_range(
         "log_alpha(points) and points**(-H) * values",
         lambda: (np.log(x.points) / math.log(alpha), x.points ** (-H) * x.values),

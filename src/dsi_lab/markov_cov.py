@@ -40,7 +40,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import SamplingScheme, in_range, index_arrays, powers
+from .core import SamplingScheme, in_range, index_arrays, mirror_lower, powers
 from .errors import BadIndex, InvalidModel, ModelUnstable, NegativeKappa
 
 # relative slack for the Cauchy-Schwarz admissibility check
@@ -227,10 +227,9 @@ def covariance_V(model: MarkovCovarianceModel, n, tau) -> np.ndarray:
         lambda: powers(scheme.alpha, ladder)
         * (powers(model.ftilde_q, tau[..., None, None]) * model._rank_one),
     )
-    if (tau == 0).any():
-        iu, jv = np.triu_indices(scheme.q, k=1)
-        mirror = np.where((tau == 0)[..., None], matrix[..., jv, iu], matrix[..., iu, jv])
-        matrix[..., iu, jv] = mirror
+    lag_zero = tau == 0
+    if lag_zero.any():
+        matrix[lag_zero] = mirror_lower(matrix[lag_zero])
     return matrix
 
 

@@ -23,6 +23,14 @@ filling its rows of K values in row-major order.  Philox output is a pure
 function of key and counter, so path i is the K normals at positions
 (i mod 4096)*K onwards of stream (s, i // 4096): it depends on s, i and K
 alone, and adding paths to a run never changes the earlier ones.
+
+An ensemble carries the :class:`~dsi_lab.core.SampleGrid` of its columns.
+Both moment estimators return one :class:`EstimateWithError` of arrays:
+:func:`estimate_R` one (q,) record per lag 0 and 1, :func:`estimate_Q` one
+(tau_max + 1, q, q) record, the shape of
+:func:`~dsi_lab.markov_cov.covariance_V` over the same lags.  Every entry is
+the mean of the per-path products with its standard error, computed alike,
+so a moment that both estimate has the same value bit for bit.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import SamplingScheme, in_range, index_arrays, powers, sample_points, sample_time
+from .core import SampleGrid, SamplingScheme, in_range, index_arrays, powers, sample_points, sample_time
 from .errors import BadIndex, NegativeKappa, RangeTooSmall
 
 _SEED_BOUND = 2 ** 64
@@ -43,14 +51,7 @@ _BLOCK_PATHS = 4096
 
 
 class EstimateWithError(NamedTuple):
-    """Monte Carlo estimate with its standard error."""
-
-    value: float
-    std_error: float
-
-
-class MatrixEstimate(NamedTuple):
-    """Entrywise Monte Carlo estimate of one lag matrix."""
+    """Monte Carlo estimates with their standard errors, same-shape arrays."""
 
     value: np.ndarray
     std_error: np.ndarray
@@ -59,14 +60,12 @@ class MatrixEstimate(NamedTuple):
 class PathEnsemble(NamedTuple):
     """Simulated sample paths of the reference process on the flat grid.
 
-    paths[i, k] is path i observed at flat index kappa_min + k; times
-    carries the matching physical sample times.
+    paths[i, k] is path i observed at the sample grid.kappa[k], at the
+    physical time grid.times[k].
     """
 
     scheme: SamplingScheme
-    kappa_min: int
-    kappa_max: int
-    times: np.ndarray
+    grid: SampleGrid
     paths: np.ndarray
 
 
@@ -147,14 +146,13 @@ def simulate_paths(
     seed = _seed_value(seed)
 
     grid = sample_points(scheme, kappa_min, kappa_max)
-    times = grid.times
-    K = times.size
+    K = grid.times.size
     lam = scheme.scale
     hp = scheme.H - 0.5
     # band b = n + 1, as in the covariance exponent above
     bands = grid.n + 1
     # Brownian increment scales, first one from the origin
-    inc_std = np.sqrt(np.diff(times, prepend=0.0))
+    inc_std = np.sqrt(np.diff(grid.times, prepend=0.0))
 
     z = np.empty((P, K), dtype=float)
     # one stream per block of paths, keyed by (seed, block); each block's
@@ -173,72 +171,67 @@ def simulate_paths(
         f"paths over kappa in [{kappa_min}, {kappa_max}] with H = {scheme.H}", synthesize
     )
 
-    return PathEnsemble(scheme, kappa_min, kappa_max, times, z)
+    return PathEnsemble(scheme, grid, z)
 
 
-def _column(ensemble: PathEnsemble, kappa: int) -> np.ndarray:
-    if not (ensemble.kappa_min <= kappa <= ensemble.kappa_max):
+def _product_moments(ensemble: PathEnsemble, k1, k2) -> EstimateWithError:
+    # means of W(k1) W(k2) over paths, with their standard errors, for index
+    # arrays k1 and k2 that broadcast together; one row of products is alive
+    # at a time.  RangeOverflow where a product, a mean or a spread leaves
+    # double range
+    paths = ensemble.paths
+    P = paths.shape[0]
+    if P < 2:
+        raise RangeTooSmall("standard errors need at least two paths")
+    lo, hi = ensemble.grid.kappa[[0, -1]].tolist()
+    what, (k1, k2) = index_arrays("moments", ensemble.scheme.T, k1=k1, k2=k2)
+    first, last = min(k1.min(), k2.min()), max(k1.max(), k2.max())
+    if first < lo or last > hi:
         raise RangeTooSmall(
-            f"ensemble covers kappa in [{ensemble.kappa_min}, {ensemble.kappa_max}], "
-            f"estimator needs kappa = {kappa}"
+            f"ensemble covers kappa in [{lo}, {hi}], estimator needs kappa in "
+            f"[{first}, {last}]"
         )
-    return ensemble.paths[:, kappa - ensemble.kappa_min]
-
-
-def _product_moment(ensemble: PathEnsemble, k1: int, k2: int) -> EstimateWithError:
-    # mean of W(k1) W(k2) over paths with its standard error; RangeOverflow
-    # where the products, their mean or their spread leave double range
-    a, b = _column(ensemble, k1), _column(ensemble, k2)
-    P = a.shape[0]
+    value, std_error = np.empty(k1.shape), np.empty(k1.shape)
 
     def moments():
-        products = a * b
-        return products.mean(), products.std(ddof=1) / math.sqrt(P)
+        pairs = zip((k1 - lo).ravel().tolist(), (k2 - lo).ravel().tolist())
+        for i, (c1, c2) in enumerate(pairs):
+            products = paths[:, c1] * paths[:, c2]
+            value.flat[i] = products.mean()
+            std_error.flat[i] = products.std(ddof=1) / math.sqrt(P)
+        return value, std_error
 
-    value, std_error = in_range(f"moment of W({k1}) W({k2}) over {P} paths", moments)
-    return EstimateWithError(float(value), float(std_error))
+    return EstimateWithError(*in_range(f"{what} over {P} paths", moments))
 
 
-def estimate_R(
-    ensemble: PathEnsemble,
-) -> tuple[list[EstimateWithError], list[EstimateWithError]]:
+def estimate_R(ensemble: PathEnsemble) -> tuple[EstimateWithError, EstimateWithError]:
     """Moment estimates of the flattened summary (R0, R1) from an ensemble.
 
-    Returns per-offset lists (R0_hat, R1_hat) where R0_hat[j] estimates
-    E[W(j)**2] and R1_hat[j] estimates E[W(j+1) W(j)].  Requires flat
-    indices 0..q in the ensemble and at least two paths (the standard
-    error uses the ddof=1 sample deviation of the per-path products).
-    RangeOverflow is raised when a product, its mean or its deviation
-    leaves double range.
+    Returns (R0_hat, R1_hat), each holding (q,) arrays: R0_hat.value[j]
+    estimates E[W(j)**2] and R1_hat.value[j] estimates E[W(j+1) W(j)].
+    Requires flat indices 0..q in the ensemble and at least two paths (the
+    standard error uses the ddof=1 sample deviation of the per-path
+    products); RangeTooSmall is raised otherwise.  RangeOverflow is raised
+    when a product, its mean or its deviation leaves double range.
     """
-    if ensemble.paths.shape[0] < 2:
-        raise RangeTooSmall("standard errors need at least two paths")
-    q = ensemble.scheme.q
-    r0 = [_product_moment(ensemble, j, j) for j in range(q)]
-    r1 = [_product_moment(ensemble, j + 1, j) for j in range(q)]
-    return r0, r1
+    j = np.arange(ensemble.scheme.q)
+    return _product_moments(ensemble, j, j), _product_moments(ensemble, j + 1, j)
 
 
-def estimate_Q(ensemble: PathEnsemble, tau_max: int) -> list[MatrixEstimate]:
+def estimate_Q(ensemble: PathEnsemble, tau_max: int) -> EstimateWithError:
     """Moment estimates of the blocked lag matrices Q(0, tau), tau = 0..tau_max.
 
-    Entry (u, v) of lag tau averages W(tau*q + u) * W(v) over paths.
-    Requires flat indices 0..(tau_max + 1)*q - 1 in the ensemble, and
-    raises RangeOverflow as :func:`estimate_R` does.
+    Returns one record of (tau_max + 1, q, q) arrays, the shape of
+    ``covariance_V(model, 0, range(tau_max + 1))``: entry [tau, u, v]
+    averages W(tau*q + u) * W(v) over paths.  Requires flat indices
+    0..(tau_max + 1)*q - 1 in the ensemble, and raises RangeTooSmall and
+    RangeOverflow as :func:`estimate_R` does.
     """
     if tau_max < 0:
         raise BadIndex(f"tau_max must be >= 0, got {tau_max}")
-    if ensemble.paths.shape[0] < 2:
-        raise RangeTooSmall("standard errors need at least two paths")
     q = ensemble.scheme.q
-    out = []
-    for tau in range(tau_max + 1):
-        value = np.empty((q, q))
-        err = np.empty((q, q))
-        for u in range(q):
-            for v in range(q):
-                est = _product_moment(ensemble, tau * q + u, v)
-                value[u, v] = est.value
-                err[u, v] = est.std_error
-        out.append(MatrixEstimate(value, err))
-    return out
+    # a lag past the ensemble's last index is refused all the same: build
+    # at most one such lag, however large tau_max is
+    last = min(tau_max, int(ensemble.grid.kappa[-1]) // q + 1)
+    tau, u, v = np.ix_(range(last + 1), range(q), range(q))
+    return _product_moments(ensemble, tau * q + u, v)

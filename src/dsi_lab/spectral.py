@@ -44,7 +44,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import SamplingScheme, in_range
+from .core import SamplingScheme, in_range, mirror_lower
 from .errors import (
     BadInterval,
     GridTooCoarse,
@@ -238,14 +238,6 @@ def spectral_series(
     )
 
 
-def _mirror_upper(matrices: np.ndarray) -> np.ndarray:
-    # overwrite the strict upper triangle with the conjugate of the lower:
-    # the one-sided resummation is authoritative for u >= v only
-    iu, jv = np.triu_indices(matrices.shape[-1], k=1)
-    matrices[:, iu, jv] = np.conj(matrices[:, jv, iu])
-    return matrices
-
-
 def spectral_markov(model: MarkovCovarianceModel, omegas) -> SpectralEvaluation:
     """Closed-form density matrix of a stable wide-sense Markov model.
 
@@ -279,7 +271,7 @@ def spectral_markov(model: MarkovCovarianceModel, omegas) -> SpectralEvaluation:
         )
 
     mats = in_range("spectral_markov density", density)
-    return SpectralEvaluation(omegas=omegas, matrices=_mirror_upper(mats))
+    return SpectralEvaluation(omegas=omegas, matrices=mirror_lower(mats))
 
 
 def spectral_sbm(scheme: SamplingScheme, omegas) -> SpectralEvaluation:
@@ -313,7 +305,7 @@ def spectral_sbm(scheme: SamplingScheme, omegas) -> SpectralEvaluation:
         )
 
     mats = in_range("spectral_sbm density", density)
-    return SpectralEvaluation(omegas=omegas, matrices=_mirror_upper(mats))
+    return SpectralEvaluation(omegas=omegas, matrices=mirror_lower(mats))
 
 
 class CovarianceRecovery(NamedTuple):
@@ -396,9 +388,6 @@ def spectral_distribution_interval(b, lo: float, hi: float) -> complex:
     over the interval; the full circle [0, 2 pi) returns exactly B(0).
     Endpoints must satisfy 0 <= lo < hi <= 2 pi and the coefficients must be
     finite (BadInterval); a mass outside double range raises RangeOverflow.
-    So does a mass that is a double but whose products B(tau) * kernel
-    overflow before the division by 2 pi: ``b = [1.7e308] * 3`` on
-    [0, pi) has the mass 8.5e307 (the lag terms cancel) and is refused.
     """
     b = np.asarray(b)
     if b.ndim != 1 or b.size % 2 != 1 or b.size < 3:
@@ -418,7 +407,7 @@ def spectral_distribution_interval(b, lo: float, hi: float) -> complex:
     kernel = (np.exp(-1j * hi * tau) - np.exp(-1j * lo * tau)) / (-1j * tau)
     mass = in_range(
         "spectral_distribution_interval mass",
-        lambda: (hi - lo) / _TWO_PI * b[N] + (coeff * kernel).sum() / _TWO_PI,
+        lambda: (hi - lo) / _TWO_PI * b[N] + (coeff / _TWO_PI * kernel).sum(),
     )
     return complex(mass)
 

@@ -699,6 +699,23 @@ class TestVerify:
         estimates = tmp_path / "report_estimates.csv"
         assert hashlib.sha256(estimates.read_bytes()).hexdigest() == estimates_digest
 
+    @pytest.mark.parametrize("cpus", [None, 1], ids=lambda n: f"cpus{n}")
+    def test_verify_bytes_pinned_at_default_paths(self, tmp_path, capsys, monkeypatch, cpus):
+        # the default 20000 paths span five 4096-path blocks of the random
+        # streams, so the estimates read every block, the last one partial
+        if cpus is not None:
+            set_cpus(monkeypatch, cpus)
+        report = tmp_path / "report.csv"
+        assert run(["verify", "--out", str(report)]) == 0
+        assert_no_child()
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+            "58c8f934fb68b4eb05101437ad5406b1302ab5b84c5d00386b1e112c6d239194"
+        )
+        estimates = tmp_path / "report_estimates.csv"
+        assert hashlib.sha256(estimates.read_bytes()).hexdigest() == (
+            "880e3a6c0a3447c55a0154bf2c806aedcf4d75b46f6e55542bb09ed552f60902"
+        )
+
     @pytest.mark.parametrize(
         "argv, error",
         [

@@ -287,3 +287,13 @@ class TestSampleGeometry:
     def test_grid_range_overflow_at_either_end(self, canonical_scheme, kappa_range):
         with pytest.raises(RangeOverflow):
             sample_points(canonical_scheme, *kappa_range)
+
+
+def test_star_import_resolves_every_public_name():
+    import dsi_lab
+
+    namespace: dict = {}
+    exec("from dsi_lab import *", namespace)
+    assert set(dsi_lab.__all__) <= namespace.keys()
+    for name in dsi_lab.__all__:
+        assert namespace[name] is getattr(dsi_lab, name)

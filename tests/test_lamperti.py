@@ -74,9 +74,14 @@ class TestQuasiLamperti:
             inverse_quasi_lamperti(x, H=1.0, alpha=alpha)
 
     def test_bad_index(self):
+        # H is checked before alpha, as in SamplingScheme
         y = StationaryGrid(times=[0.0], values=[1.0])
-        with pytest.raises(BadIndex):
-            quasi_lamperti(y, H=0.0, alpha=2.0)
+        x = SelfSimilarGrid(points=[1.0], values=[1.0])
+        for alpha in (2.0, 0.3):
+            with pytest.raises(BadIndex):
+                quasi_lamperti(y, H=0.0, alpha=alpha)
+            with pytest.raises(BadIndex):
+                inverse_quasi_lamperti(x, H=math.nan, alpha=alpha)
 
     def test_overflow_guard(self):
         y = StationaryGrid(times=[0.0, 1.5e3], values=[1.0, 1.0])

@@ -112,10 +112,12 @@ class TestSimulation:
     def test_shapes_and_metadata(self, canonical_scheme):
         ens = simulate_paths(canonical_scheme, (0, 9), 50, 7)
         assert ens.paths.shape == (50, 10)
-        assert ens.times.tolist() == [
+        assert ens.grid.times.tolist() == [
             1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0,
         ]
-        assert ens.kappa_min == 0 and ens.kappa_max == 9
+        assert ens.grid.kappa.tolist() == list(range(10))
+        assert ens.grid.n.tolist() == [k // 2 for k in range(10)]
+        assert ens.grid.u.tolist() == [k % 2 for k in range(10)]
 
     def test_same_seed_bit_identical(self, canonical_scheme):
         a = simulate_paths(canonical_scheme, (0, 5), 64, 12345)
@@ -208,7 +210,7 @@ class TestSimulation:
                         for b, lo in enumerate(range(0, P, 4096))
                     ]
                 )
-                inc_std = np.sqrt(np.diff(ens.times, prepend=0.0))
+                inc_std = np.sqrt(np.diff(ens.grid.times, prepend=0.0))
                 want = np.cumsum(inc_std * z, axis=1)
                 assert np.array_equal(ens.paths, want), (seed, K)
 
@@ -236,7 +238,7 @@ class TestSimulation:
         except DsiLabError:
             return
         assert ens.paths.shape == (P, span + 1)
-        assert np.isfinite(ens.times).all() and np.isfinite(ens.paths).all()
+        assert np.isfinite(ens.grid.times).all() and np.isfinite(ens.paths).all()
 
     def test_overflowing_paths_raise(self):
         # H = 3 puts band factors near lambda**(351 * 2.5) = 2**877 at kappa 700
@@ -254,27 +256,28 @@ class TestEstimators:
 
     def test_moments_match_model_within_three_se(self, big_ensemble):
         model = model_from_sbm(big_ensemble.scheme)
-        r0, r1 = estimate_R(big_ensemble)
-        for j in range(big_ensemble.scheme.q):
-            for lag, est in ((0, r0[j]), (1, r1[j])):
-                want = covariance_W(model, j, lag)
-                assert est.std_error > 0
-                assert abs(est.value - want) <= 3.0 * est.std_error
+        q = big_ensemble.scheme.q
+        for lag, est in enumerate(estimate_R(big_ensemble)):
+            assert est.value.shape == est.std_error.shape == (q,)
+            want = covariance_W(model, np.arange(q), lag)
+            assert (est.std_error > 0).all()
+            assert (np.abs(est.value - want) <= 3.0 * est.std_error).all()
 
     def test_block_moments_within_four_se(self, big_ensemble):
         model = model_from_sbm(big_ensemble.scheme)
-        for tau, qm in enumerate(estimate_Q(big_ensemble, 3)):
-            want = covariance_V(model, 0, tau)
-            z = np.abs(qm.value - want) / qm.std_error
-            assert np.max(z) <= 4.0
+        qm = estimate_Q(big_ensemble, 3)
+        want = covariance_V(model, 0, range(4))
+        assert qm.value.shape == qm.std_error.shape == want.shape == (4, 2, 2)
+        z = np.abs(qm.value - want) / qm.std_error
+        assert np.max(z) <= 4.0
 
     def test_lag_zero_block_estimate_is_symmetric_target(self, big_ensemble):
         # the tau = 0 moment matrix estimates E[W(u) W(v)], which is the
         # symmetrized matrix, not the one-sided product form
         model = model_from_sbm(big_ensemble.scheme)
-        qm = estimate_Q(big_ensemble, 0)[0]
+        value, std_error = (field[0] for field in estimate_Q(big_ensemble, 0))
         want = covariance_V(model, 0, 0)
-        z = np.abs(qm.value - want) / qm.std_error
+        z = np.abs(value - want) / std_error
         assert np.max(z) <= 4.0
         assert want[0, 1] == want[1, 0]
 
@@ -284,6 +287,9 @@ class TestEstimators:
             estimate_R(narrow)
         with pytest.raises(RangeTooSmall):
             estimate_Q(narrow, 2)
+        # refused without building an array of 10**12 lags
+        with pytest.raises(RangeTooSmall):
+            estimate_Q(narrow, 10 ** 12)
         single = simulate_paths(canonical_scheme, (0, 4), 1, 3)
         with pytest.raises(RangeTooSmall):
             estimate_R(single)
@@ -315,20 +321,43 @@ class TestEstimators:
             return
         estimates = []
         try:
-            estimates += [e for lag in estimate_R(ens) for e in lag]
+            estimates += estimate_R(ens)
         except DsiLabError:
             pass
         try:
-            estimates += [
-                (value, std_error)
-                for qm in estimate_Q(ens, tau_max)
-                for value, std_error in zip(qm.value.ravel(), qm.std_error.ravel())
-            ]
+            estimates.append(estimate_Q(ens, tau_max))
         except DsiLabError:
             pass
         for value, std_error in estimates:
-            assert math.isfinite(value) and math.isfinite(std_error)
-            assert std_error >= 0.0
+            assert value.shape == std_error.shape
+            assert np.isfinite(value).all() and np.isfinite(std_error).all()
+            assert (std_error >= 0.0).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        q=st.integers(min_value=1, max_value=4),
+        P=st.integers(min_value=2, max_value=50),
+        seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
+    )
+    def test_estimators_agree_with_per_entry_moments(self, q, P, seed):
+        # Q(tau)[u, v] is the mean of W(tau*q + u) W(v) and its standard
+        # error, entry by entry; R0 and R1 are the same moments bit for bit
+        sch = random_scheme(np.random.default_rng(seed % 2 ** 32), q)
+        ens = simulate_paths(sch, (0, 2 * q - 1), P, seed)
+        Q = estimate_Q(ens, 1)
+        for tau in range(2):
+            for u in range(q):
+                for v in range(q):
+                    products = ens.paths[:, tau * q + u] * ens.paths[:, v]
+                    assert Q.value[tau, u, v] == products.mean()
+                    assert Q.std_error[tau, u, v] == products.std(ddof=1) / math.sqrt(P)
+        r0, r1 = estimate_R(ens)
+        j = np.arange(q)
+        # R0[j] = Q(0)[j, j]; R1[j] = Q(0)[j+1, j] for j < q-1, and the wrap
+        # R1[q-1] = Q(1)[0, q-1]
+        for R, index in ((r0, (0, j, j)), (r1, ((j == q - 1) * 1, (j + 1) % q, j))):
+            assert np.array_equal(R.value, Q.value[index])
+            assert np.array_equal(R.std_error, Q.std_error[index])
 
     def test_calibration_across_seeds(self):
         # z-scores of repeated small ensembles behave like standard normals:
@@ -341,6 +370,6 @@ class TestEstimators:
         for seed in range(n_runs):
             ens = simulate_paths(sch, (0, 2), 400, seed)
             r0, _ = estimate_R(ens)
-            if abs(r0[0].value - want) <= 2.0 * r0[0].std_error:
+            if abs(r0.value[0] - want) <= 2.0 * r0.std_error[0]:
                 hits += 1
         assert hits >= 33  # binomial(40, 0.95): falling below this is freak-rare

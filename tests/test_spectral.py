@@ -483,10 +483,28 @@ class TestDistributionInterval:
             with pytest.raises(BadInterval):
                 spectral_distribution_interval(np.array([0.5, bad, 0.5]), 0.0, 1.0)
 
-    def test_mass_past_double_range(self):
-        # each lag term B(tau) * kernel(tau), tau = -1 and 1, is 3.4e308
-        with pytest.raises(RangeOverflow):
-            spectral_distribution_interval(np.full(3, 1.7e308), 0.0, math.pi)
+    def test_mass_near_double_range(self):
+        # each lag product B(tau) * kernel(tau), tau = -1 and 1, is 3.4e308,
+        # but the coefficients are divided by 2 pi first and the mass is a
+        # double: the lag terms cancel
+        mass = spectral_distribution_interval(np.full(3, 1.7e308), 0.0, math.pi)
+        assert mass == pytest.approx(8.5e307, rel=1e-15)
+
+    @pytest.mark.parametrize("N, mass", [(5, -1.66e308), (9, None)])
+    def test_odd_lag_mass_at_the_double_range(self, N, mass):
+        # B(tau) = sign(tau) * 1.7e308 at odd tau, 0 otherwise: on [0, pi)
+        # each pair of odd lags +-tau adds -2i * 1.7e308 / (pi tau), about
+        # -1.66e308i in all up to N = 5 and -1.93e308i up to N = 9, past the
+        # largest double
+        tau = np.arange(-N, N + 1)
+        b = np.where(tau % 2 == 1, np.sign(tau) * 1.7e308, 0.0)
+        if mass is None:
+            with pytest.raises(RangeOverflow):
+                spectral_distribution_interval(b, 0.0, math.pi)
+        else:
+            got = spectral_distribution_interval(b, 0.0, math.pi)
+            assert got.real == pytest.approx(0.0, abs=1e293)
+            assert got.imag == pytest.approx(mass, rel=1e-3)
 
     @settings(max_examples=100, deadline=None)
     @given(
