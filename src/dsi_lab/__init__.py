@@ -12,118 +12,64 @@ validating views of the same second-order structure:
 
 plus the quasi-Lamperti change of frame (:mod:`dsi_lab.lamperti`) and a
 command line front end (``dsi-lab``).
+
+The public names below are imported on first use, so ``import dsi_lab``
+loads neither the submodules nor numpy.
 """
 
-from .core import (
-    SampleGrid,
-    SamplingScheme,
-    embed_index,
-    sample_points,
-    sample_time,
-    split_index,
-    validate_scheme,
-)
-from .errors import (
-    BadBase,
-    BadIndex,
-    BadInterval,
-    ConfigError,
-    DsiLabError,
-    GridTooCoarse,
-    InvalidModel,
-    ModelUnstable,
-    NegativeKappa,
-    NonIncreasingOffsets,
-    NonPositivePoint,
-    OffsetOutOfRange,
-    RangeOverflow,
-    RangeTooSmall,
-    ToleranceUnreachable,
-)
-from .lamperti import (
-    SelfSimilarGrid,
-    StationaryGrid,
-    embedded_to_stationary,
-    inverse_quasi_lamperti,
-    quasi_lamperti,
-)
-from .markov_cov import (
-    MarkovCovarianceModel,
-    covariance_V,
-    covariance_W,
-    doob_factorization,
-    f_tilde,
-    model_from_sbm,
-)
-from .sbm_sim import (
-    EstimateWithError,
-    PathEnsemble,
-    estimate_Q,
-    estimate_R,
-    sbm_covariance_exact,
-    simulate_paths,
-)
-from .spectral import (
-    CovarianceRecovery,
-    SeriesMeta,
-    SpectralEvaluation,
-    invert_spectrum,
-    markov_covfn,
-    spectral_distribution_interval,
-    spectral_markov,
-    spectral_sbm,
-    spectral_series,
-)
+import importlib
+import os
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BadBase",
-    "BadIndex",
-    "BadInterval",
-    "ConfigError",
-    "CovarianceRecovery",
-    "DsiLabError",
-    "EstimateWithError",
-    "GridTooCoarse",
-    "InvalidModel",
-    "MarkovCovarianceModel",
-    "ModelUnstable",
-    "NegativeKappa",
-    "NonIncreasingOffsets",
-    "NonPositivePoint",
-    "OffsetOutOfRange",
-    "PathEnsemble",
-    "RangeOverflow",
-    "RangeTooSmall",
-    "SampleGrid",
-    "SamplingScheme",
-    "SelfSimilarGrid",
-    "SeriesMeta",
-    "SpectralEvaluation",
-    "StationaryGrid",
-    "ToleranceUnreachable",
-    "covariance_V",
-    "covariance_W",
-    "doob_factorization",
-    "embed_index",
-    "embedded_to_stationary",
-    "estimate_Q",
-    "estimate_R",
-    "f_tilde",
-    "invert_spectrum",
-    "inverse_quasi_lamperti",
-    "markov_covfn",
-    "model_from_sbm",
-    "quasi_lamperti",
-    "sample_points",
-    "sample_time",
-    "sbm_covariance_exact",
-    "simulate_paths",
-    "spectral_distribution_interval",
-    "spectral_markov",
-    "spectral_sbm",
-    "spectral_series",
-    "split_index",
-    "validate_scheme",
-]
+# module: the public names it defines
+_PUBLIC = {
+    "core": (
+        "SampleGrid", "SamplingScheme", "embed_index", "sample_points",
+        "sample_time", "split_index", "validate_scheme",
+    ),
+    "errors": (
+        "BadBase", "BadIndex", "BadInterval", "ConfigError", "DsiLabError",
+        "GridTooCoarse", "InvalidModel", "ModelUnstable", "NegativeKappa",
+        "NonIncreasingOffsets", "NonPositivePoint", "OffsetOutOfRange",
+        "RangeOverflow", "RangeTooSmall", "ToleranceUnreachable",
+    ),
+    "lamperti": (
+        "SelfSimilarGrid", "StationaryGrid", "embedded_to_stationary",
+        "inverse_quasi_lamperti", "quasi_lamperti",
+    ),
+    "markov_cov": (
+        "MarkovCovarianceModel", "covariance_V", "covariance_W",
+        "doob_factorization", "f_tilde", "model_from_sbm",
+    ),
+    "sbm_sim": (
+        "EstimateWithError", "PathEnsemble", "estimate_Q", "estimate_R",
+        "sbm_covariance_exact", "simulate_paths",
+    ),
+    "spectral": (
+        "CovarianceRecovery", "SeriesMeta", "SpectralEvaluation",
+        "invert_spectrum", "markov_covfn", "spectral_distribution_interval",
+        "spectral_markov", "spectral_sbm", "spectral_series",
+    ),
+}
+_OWNER = {name: module for module, names in _PUBLIC.items() for name in names}
+
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name: str):
+    # PEP 562: import the owning module on first use, then cache the name
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_OWNER[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def main() -> int:
+    """The ``dsi-lab`` console script: ``cli.main`` with one OpenBLAS thread
+    unless ``OPENBLAS_NUM_THREADS`` is set (see "Fork safety" in ``cli``)."""
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    from . import cli
+
+    return cli.main()

@@ -14,11 +14,11 @@ Every setting is one row of ``_SETTINGS``: parser, default and flag help.
 A value comes from an optional ``key=value`` file (one pair per line, ``#``
 comments allowed) or from its flag, which wins; ``q``, ``R0`` and ``R1``
 have no flag.  Each value is parsed once, and a malformed one from either
-place is a ConfigError.  Every data table is formatted block by block (one
-block per path, tau or omega) by one formatter: each key and value goes
-through ``repr`` once, and a chunk's rows are joined from an object array
-of those strings and the fixed prefix, comma and newline pieces;
-``verify``'s two small tables are written row by row.  A large table is
+place is a ConfigError.  Every table, ``verify``'s report and estimates
+included, is formatted block by block (one block per path, tau, omega,
+check or offset) by one formatter: each key and value is converted to
+text once, and a chunk's rows are joined from an object array of those
+strings and the fixed prefix, comma and newline pieces.  A large table is
 split into contiguous parts of blocks, one per CPU the process may use:
 this process writes the first part while one forked worker per other part
 formats it into a pipe, and the pipes are copied into the file in part
@@ -27,11 +27,18 @@ likewise runs its spectral half (closed forms, series, reference density
 and inversion) in one forked worker while this process runs the random
 half (the frame round trip and the Monte Carlo estimates), and reads the
 worker's checks back through a pipe; on one CPU both run here, with the
-same bytes and the same errors.  A worker makes no BLAS call, so the fork
-is safe while numpy's BLAS threads exist.  Floats are written in shortest
+same bytes and the same errors.  Floats are written in shortest
 round-trip form and the simulator draws each block of 4096 paths from one
 counter-based stream keyed by (seed, block), so repeated runs of one
 configuration produce byte-identical files.
+
+Fork safety: the ``dsi-lab`` console script (``dsi_lab.main``) starts
+numpy with one BLAS thread unless ``OPENBLAS_NUM_THREADS`` is set, so its
+forks come from a single-threaded process.  Forks stay safe for callers of
+``main`` whose numpy runs BLAS threads (the tests, a benchmark) because a
+worker makes no BLAS call: it formats strings or computes elementwise
+forms, reductions and one ``numpy.fft`` (pocketfft) transform, so it never
+takes a lock a BLAS thread of the parent may hold.
 
 Exit codes: 0 success (verify: all checks passed), 1 verify check failed,
 2 configuration or domain error, 3 unstable model, 4 I/O failure.
@@ -85,6 +92,9 @@ def _floats(text: str) -> tuple[float, ...]:
     # empty items are skipped, so "1,1.5," lists two values
     return tuple(float(part) for part in text.split(",") if part.strip() != "")
 
+
+# what a malformed value of each parser is named as in its ConfigError
+_KINDS = {int: "an integer", float: "a float", _floats: "a comma-separated float list"}
 
 # key: (parser, default, flag help); a help of None marks a key that only a
 # config file can set.  The flag of a key is --<key> with - for _.
@@ -154,8 +164,7 @@ def build_config(command: str, args: argparse.Namespace) -> RunConfig:
         try:
             values[key] = default if text is None else parse(text)
         except ValueError:
-            kind = "comma-separated float list" if parse is _floats else parse.__name__
-            raise ConfigError(f"{key} must be a {kind}, got {text!r}")
+            raise ConfigError(f"{key} must be {_KINDS[parse]}, got {text!r}")
         if values[key] == ():
             raise ConfigError(f"{key} must list at least one value, got {text!r}")
 
@@ -215,10 +224,10 @@ def _format_blocks(keys, prefixes: list[str], flat, lo: int, hi: int):
 
     Each chunk is one ``(blocks, rows, pieces)`` object array of strings,
     joined once: row r of a block is its key, ``prefixes[r]`` and a comma,
-    its values separated by commas, then a newline.  Keys and values go
-    through ``repr`` once each, values as Python floats from ``tolist()``
-    (a numpy scalar's repr is not the bare number); the constant pieces are
-    filled in once per call.
+    its values separated by commas, then a newline.  Keys go through ``str``
+    and values through ``repr``, once each, values as Python floats from
+    ``tolist()`` (a numpy scalar's repr is not the bare number); the
+    constant pieces are filled in once per call.
     """
     rows = len(prefixes)
     width = flat.shape[1] // rows
@@ -230,7 +239,7 @@ def _format_blocks(keys, prefixes: list[str], flat, lo: int, hi: int):
     for start in range(lo, hi, step):
         stop = min(start + step, hi)
         chunk = pieces[: stop - start]
-        chunk[:, :, 0] = np.array(list(map(repr, keys[start:stop])), dtype=object)[:, None]
+        chunk[:, :, 0] = np.array(list(map(str, keys[start:stop])), dtype=object)[:, None]
         chunk[:, :, 2::2] = np.array(
             list(map(repr, flat[start:stop].ravel().tolist())), dtype=object
         ).reshape(stop - start, rows, width)
@@ -244,11 +253,8 @@ def _fork_part(chunks, open_pipes: list[BinaryIO]) -> tuple[int, BinaryIO]:
     table, or ``verify``'s spectral half.  The worker holds its whole output
     in memory, because the parent reads the pipe only after its own work,
     and ends with ``os._exit``: it never returns into the caller, runs no
-    ``atexit`` hooks and flushes no stdio.  It formats Python objects and
-    numpy object arrays of strings, or computes elementwise numpy forms,
-    reductions and one ``numpy.fft`` transform (pocketfft, not BLAS); none
-    of this makes a BLAS call, so no lock held by another thread of the
-    parent (numpy's BLAS pool, say) is ever taken in the worker.
+    ``atexit`` hooks and flushes no stdio.  Why the fork is safe is stated
+    once, under "Fork safety" in this module's docstring.
     """
     r, w = os.pipe()
     try:
@@ -305,7 +311,7 @@ def _reaped(what: str):
 def _write_blocks(path: str, header: str, keys, prefixes: list[str], values) -> int:
     """Write one block of rows per key to a CSV table; return the row count.
 
-    Row r of block b is ``repr(keys[b])``, then ``prefixes[r]`` (its fields
+    Row r of block b is ``str(keys[b])``, then ``prefixes[r]`` (its fields
     with their leading commas), then ``values[b, r, ...]`` flattened, each
     value a comma and its ``repr``, the shortest round-trip float.  Rows are
     joined from string pieces by ``_format_blocks``.
@@ -332,11 +338,6 @@ def _write_blocks(path: str, header: str, keys, prefixes: list[str], values) -> 
             for _, pipe in workers:
                 shutil.copyfileobj(pipe, fh)
     return n_blocks * rows
-
-
-def _write_lines(path: str, lines: list[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def _uv_prefixes(q: int) -> list[str]:
@@ -467,9 +468,9 @@ def _verify_spectral(cfg: RunConfig) -> list[tuple[str, float, float]]:
     return checks
 
 
-def _verify_random(cfg: RunConfig) -> tuple[float, float, list[str]]:
-    # the checks that draw random numbers: (frame round trip, worst |z|,
-    # estimates rows)
+def _verify_random(cfg: RunConfig) -> tuple[list[tuple[str, float, float]], np.ndarray]:
+    # the checks that draw random numbers, and the (q, 2, 4) estimates: per
+    # offset j and lag, estimate, standard error, analytic value and z-score
     scheme = cfg.scheme
 
     # frame change round trip on a deterministic grid
@@ -491,14 +492,12 @@ def _verify_random(cfg: RunConfig) -> tuple[float, float, list[str]]:
     value, std_error = (np.stack(field, axis=1) for field in zip(*estimates))
     analytic = covariance_W(model_from_sbm(scheme), np.arange(scheme.q)[:, None], (0, 1))
     z = (value - analytic) / std_error
-    # one row per (j, lag): estimate, standard error, analytic value, z-score
-    table = np.stack([value, std_error, analytic, z], axis=-1).tolist()
-    estimates_rows = [
-        f"{j},{lag},{','.join(map(repr, entry))}"
-        for j, lags in enumerate(table)
-        for lag, entry in enumerate(lags)
+    checks = [
+        ("frame_roundtrip", rt, 1e-12),
+        # Monte Carlo moments within three standard errors
+        ("monte_carlo_moments_zmax", float(np.abs(z).max()), 3.0),
     ]
-    return rt, float(np.abs(z).max()), estimates_rows
+    return checks, np.stack([value, std_error, analytic, z], axis=-1)
 
 
 def _pickled_spectral_half(cfg: RunConfig):
@@ -512,7 +511,7 @@ def _pickled_spectral_half(cfg: RunConfig):
 
 
 def _verify_checks(cfg: RunConfig):
-    """The report's checks, in report order, and the estimates rows.
+    """The report's checks, in report order, and the estimates array.
 
     With more than one usable CPU, one forked worker runs the spectral half
     while this process runs the random half; on one CPU the spectral half
@@ -538,28 +537,28 @@ def _verify_checks(cfg: RunConfig):
     for outcome in (checks, random_half):
         if isinstance(outcome, Exception):
             raise outcome
-    rt, worst_z, estimates_rows = random_half
-    checks.append(("frame_roundtrip", rt, 1e-12))
-    # Monte Carlo moments within three standard errors
-    checks.append(("monte_carlo_moments_zmax", worst_z, 3.0))
-    return checks, estimates_rows
+    random_checks, estimates = random_half
+    return checks + random_checks, estimates
 
 
 def cmd_verify(cfg: RunConfig) -> int:
     """run the cross-check suite and write a report"""
-    checks, estimates_rows = _verify_checks(cfg)
-    lines = ["check_name,status,observed,expected,tolerance"]
+    checks, estimates = _verify_checks(cfg)
+    keys = []
     n_fail = 0
     for name, observed, tolerance in checks:
         passed = abs(observed) <= tolerance
         n_fail += not passed
         status = "PASS" if passed else "FAIL"
-        lines.append(f"{name},{status},{float(observed)!r},0.0,{tolerance!r}")
+        keys.append(f"{name},{status}")
         print(f"{status:4s} {name}: observed {observed:.3e} (tol {tolerance:.1e})")
-    _write_lines(cfg.out, lines)
+    # one block per check, keyed by name and status, and one per offset j
+    report = np.array([[[observed, 0.0, tolerance]] for _, observed, tolerance in checks])
+    _write_blocks(cfg.out, "check_name,status,observed,expected,tolerance", keys, [""], report)
     stem, ext = os.path.splitext(cfg.out)
     est_path = f"{stem}_estimates{ext}"
-    _write_lines(est_path, ["j_or_uv,lag,estimate,std_error,analytic,z_score"] + estimates_rows)
+    est_header = "j_or_uv,lag,estimate,std_error,analytic,z_score"
+    _write_blocks(est_path, est_header, range(len(estimates)), [",0", ",1"], estimates)
     print(f"report: {cfg.out}; estimates: {est_path}")
     if n_fail:
         print(f"{n_fail} of {len(checks)} checks FAILED")

@@ -2,12 +2,17 @@
 wide-range hypothesis strategies."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
+import dsi_lab
 from dsi_lab import DsiLabError, MarkovCovarianceModel, SamplingScheme, validate_scheme
 
 
@@ -134,3 +139,23 @@ def wide_indices(min_value: int = -5000) -> st.SearchStrategy:
         st.floats(),
     )
     return st.one_of(entries, st.lists(entries, min_size=1, max_size=5).map(np.array))
+
+
+def run_python(code: str, *args: str, **env: str | None) -> str:
+    """Run ``code`` with ``args`` in a fresh interpreter that imports this
+    dsi_lab; return its stdout.  Each ``env`` entry is set in the child's
+    environment, or removed from it where it is None."""
+    child_env = dict(os.environ)
+    src = str(Path(dsi_lab.__file__).resolve().parents[1])
+    child_env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, child_env.get("PYTHONPATH")]))
+    for key, value in env.items():
+        if value is None:
+            child_env.pop(key, None)
+        else:
+            child_env[key] = value
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args], env=child_env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout

@@ -1,5 +1,6 @@
 """Command line behavior: config handling, output schemas, exit codes."""
 
+import ast
 import hashlib
 import math
 import os
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from dsi_lab import DsiLabError, RangeOverflow, cli, covariance_V, model_from_sbm, validate_scheme
 from dsi_lab.cli import main
+from conftest import run_python
 
 
 def run(argv):
@@ -170,13 +172,17 @@ class TestConfigHandling:
         assert not (tmp_path / "w.csv").exists()
 
     @pytest.mark.parametrize(
-        "argv", [["covariance", "--T", "1.5"], ["simulate", "--seed", "abc"]],
+        "argv, err",
+        [
+            (["covariance", "--T", "1.5"], "T must be an integer, got '1.5'"),
+            (["simulate", "--seed", "abc"], "seed must be an integer, got 'abc'"),
+        ],
         ids=["T", "seed"],
     )
-    def test_malformed_flag_is_config_error(self, capsys, argv):
+    def test_malformed_flag_is_config_error(self, capsys, argv, err):
         # the same path as a malformed file value: an exit code, not SystemExit
         assert run(argv) == 2
-        assert capsys.readouterr().err.startswith("error: ConfigError: ")
+        assert capsys.readouterr().err == f"error: ConfigError: {err}\n"
 
     def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -301,6 +307,37 @@ class TestExitCodes:
         out = tmp_path / "no" / "such" / "dir" / "x.csv"
         assert run(["covariance", "--out", str(out)]) == 4
         assert "I/O" in capsys.readouterr().err
+
+
+# the console entry run on argv, then its exit code, the BLAS thread setting
+# it left and, where /proc exists, the process's thread count
+ENTRY_CHILD = """
+import os, dsi_lab
+code = dsi_lab.main()
+threads = None
+if os.path.exists("/proc/self/status"):
+    with open("/proc/self/status") as fh:
+        threads = next(int(line.split()[1]) for line in fh if line.startswith("Threads:"))
+print(repr((code, os.environ["OPENBLAS_NUM_THREADS"], threads)))
+"""
+
+
+class TestConsoleEntry:
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status")
+    def test_one_blas_thread_by_default(self, tmp_path):
+        # numpy is loaded by then, with its BLAS pool started
+        out = run_python(
+            ENTRY_CHILD, "covariance", "--out", str(tmp_path / "c.csv"), OPENBLAS_NUM_THREADS=None
+        )
+        assert ast.literal_eval(out.splitlines()[-1]) == (0, "1", 1)
+
+    def test_user_setting_wins(self, tmp_path):
+        # the variable, not the thread count: OpenBLAS caps its pool at the
+        # CPUs it may use, which may be one
+        out = run_python(
+            ENTRY_CHILD, "covariance", "--out", str(tmp_path / "c.csv"), OPENBLAS_NUM_THREADS="2"
+        )
+        assert ast.literal_eval(out.splitlines()[-1])[:2] == (0, "2")
 
 
 class TestOutputs:

@@ -20,7 +20,7 @@ from dsi_lab import (
     split_index,
     validate_scheme,
 )
-from conftest import make_scheme, random_scheme, wide_indices, wide_schemes
+from conftest import make_scheme, random_scheme, run_python, wide_indices, wide_schemes
 
 
 class TestSplitIndex:
@@ -297,3 +297,22 @@ def test_star_import_resolves_every_public_name():
     assert set(dsi_lab.__all__) <= namespace.keys()
     for name in dsi_lab.__all__:
         assert namespace[name] is getattr(dsi_lab, name)
+
+
+def test_import_is_lazy():
+    # a bare import loads neither a submodule nor numpy; the first use of a
+    # public name imports its module and caches the name in the package
+    run_python(
+        "import sys, dsi_lab\n"
+        "assert 'numpy' not in sys.modules\n"
+        "assert not [m for m in sys.modules if m.startswith('dsi_lab.')]\n"
+        "dsi_lab.covariance_W\n"
+        "assert 'numpy' in sys.modules and 'covariance_W' in vars(dsi_lab)\n"
+    )
+
+
+def test_unknown_name_is_attribute_error():
+    import dsi_lab
+
+    with pytest.raises(AttributeError, match="'nosuch'"):
+        dsi_lab.nosuch
