@@ -16,13 +16,19 @@ comments allowed) or from its flag, which wins; ``q``, ``R0`` and ``R1``
 have no flag.  Each value is parsed once, and a malformed one from either
 place is a ConfigError.  Every table, ``verify``'s report and estimates
 included, is formatted block by block (one block per path, tau, omega,
-check or offset) by one formatter: each key and value is converted to
-text once, and a chunk's rows are joined from an object array of those
-strings and the fixed prefix, comma and newline pieces.  A large table is
-split into contiguous parts of blocks, one per CPU the process may use:
-this process writes the first part while one forked worker per other part
-formats it into a pipe, and the pipes are copied into the file in part
-order, so the output bytes do not depend on the CPU count.  ``verify``
+check or offset) by one formatter, and a chunk's rows are joined from an
+object array of strings and the fixed prefix, comma and newline pieces.
+Each key is converted to text once, and so is each value of a distinct
+value column: a column (one value slot of every block) whose float bits
+repeat an earlier column's, exactly or with the sign bit flipped, takes
+that column's strings, its leading minus toggled if flipped.  A density
+is Hermitian with its strict upper triangle mirrored bit for bit from the
+lower one, so ``spectrum`` converts (q + 1) / (2 q) of its values.  A
+large table is split into contiguous parts of blocks, one per CPU the
+process may use: this process writes the first part while one forked
+worker per other part formats it into a pipe, and the pipes are copied
+into the file in part order, so the output bytes do not depend on the
+CPU count.  ``verify``
 likewise runs its spectral half (closed forms, series, reference density
 and inversion) in one forked worker while this process runs the random
 half (the frame round trip and the Monte Carlo estimates), and reads the
@@ -82,10 +88,12 @@ _VERIFY_INVERT_M = 16384
 # every part of a table formatted on its own CPU has at least this many
 # values, so tables below twice this size never fork
 _MIN_PART_VALUES = 25_000
-# values converted and formatted per string handed to the file or pipe; this
-# bounds the Python floats, strings and object arrays alive at once, and so
-# the peak memory
+# values formatted per string handed to the file or pipe, whether converted
+# or taken from a repeated column's source; this bounds the Python floats,
+# strings and object arrays alive at once, and so the peak memory
 _CHUNK_VALUES = 16_384
+# the bits of a float64 other than its sign bit
+_MAGNITUDE_BITS = (1 << 63) - 1
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -219,18 +227,63 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _format_blocks(keys, prefixes: list[str], flat, lo: int, hi: int):
+def _repeated_columns(flat):
+    """Find the value columns of ``flat`` that repeat an earlier one.
+
+    A column is one (row, value) slot of every block, ``flat[:, c]``.  It
+    repeats the earliest column whose float64 bits it matches in every
+    block, exactly or with only the sign bit flipped; a column holding a NaN
+    is never a negated source, as ``repr`` drops a NaN's sign.  Only columns
+    whose first-block values have the same magnitude are compared in full.
+
+    Returns ``(distinct, take, negated)``: the distinct columns, for each
+    column the position in ``distinct`` of the column it is read from, and
+    the negated repeats.  When nothing repeats, ``distinct`` and ``take``
+    are plain slices, so that such a table is read and formatted without a
+    copy.
+    """
+    bits = flat.view(np.uint64)
+    first = bits[0].tolist()
+    by_magnitude: dict[int, list[int]] = {}
+    distinct, take, negated = [], [], []
+    for column, head in enumerate(first):
+        candidates = by_magnitude.setdefault(head & _MAGNITUDE_BITS, [])
+        for source in candidates:
+            # 0, or the sign bit: the two heads have the same magnitude
+            flip = head ^ first[source]
+            if np.array_equal(bits[:, column], bits[:, source] ^ np.uint64(flip)) and not (
+                flip and np.isnan(flat[:, source]).any()
+            ):
+                take.append(take[source])
+                if flip:
+                    negated.append(column)
+                break
+        else:
+            candidates.append(column)
+            take.append(len(distinct))
+            distinct.append(column)
+    if len(distinct) == len(first):
+        return slice(None), slice(None), []
+    return distinct, take, negated
+
+
+def _format_blocks(keys, prefixes: list[str], flat, lo: int, hi: int, columns):
     """Yield the encoded rows of blocks lo..hi-1, about _CHUNK_VALUES values at a time.
 
     Each chunk is one ``(blocks, rows, pieces)`` object array of strings,
     joined once: row r of a block is its key, ``prefixes[r]`` and a comma,
     its values separated by commas, then a newline.  Keys go through ``str``
-    and values through ``repr``, once each, values as Python floats from
-    ``tolist()`` (a numpy scalar's repr is not the bare number); the
-    constant pieces are filled in once per call.
+    once each.  ``columns`` is ``_repeated_columns(flat)``: each distinct
+    value column goes through ``repr`` once per value, as Python floats from
+    ``tolist()`` (a numpy scalar's repr is not the bare number), and a
+    repeated column takes its source's strings, with the leading ``-``
+    toggled when negated: ``repr(-x)`` is ``repr(x)`` with its sign added or
+    removed for every double but NaN.  The constant pieces are filled in
+    once per call.
     """
     rows = len(prefixes)
     width = flat.shape[1] // rows
+    distinct, take, negated = columns
     step = max(1, _CHUNK_VALUES // flat.shape[1])
     pieces = np.empty((min(step, hi - lo), rows, 2 * width + 2), dtype=object)
     pieces[:, :, 1] = [prefix + "," for prefix in prefixes]
@@ -240,9 +293,14 @@ def _format_blocks(keys, prefixes: list[str], flat, lo: int, hi: int):
         stop = min(start + step, hi)
         chunk = pieces[: stop - start]
         chunk[:, :, 0] = np.array(list(map(str, keys[start:stop])), dtype=object)[:, None]
-        chunk[:, :, 2::2] = np.array(
-            list(map(repr, flat[start:stop].ravel().tolist())), dtype=object
-        ).reshape(stop - start, rows, width)
+        texts = np.array(
+            list(map(repr, flat[start:stop, distinct].ravel().tolist())), dtype=object
+        ).reshape(stop - start, -1)[:, take]
+        for column in negated:
+            texts[:, column] = [
+                text[1:] if text[0] == "-" else "-" + text for text in texts[:, column].tolist()
+            ]
+        chunk[:, :, 2::2] = texts.reshape(stop - start, rows, width)
         yield "".join(chunk.ravel().tolist()).encode()
 
 
@@ -314,7 +372,10 @@ def _write_blocks(path: str, header: str, keys, prefixes: list[str], values) -> 
     Row r of block b is ``str(keys[b])``, then ``prefixes[r]`` (its fields
     with their leading commas), then ``values[b, r, ...]`` flattened, each
     value a comma and its ``repr``, the shortest round-trip float.  Rows are
-    joined from string pieces by ``_format_blocks``.
+    joined from string pieces by ``_format_blocks``.  The value columns
+    that repeat an earlier one, exactly or negated, are found once here,
+    before any fork, by ``_repeated_columns``; this process and every worker
+    format from that one map, converting only the distinct columns.
 
     The blocks are cut into contiguous parts, one per usable CPU with at
     least _MIN_PART_VALUES values each, so smaller tables stay in-process.
@@ -326,15 +387,16 @@ def _write_blocks(path: str, header: str, keys, prefixes: list[str], values) -> 
     """
     n_blocks, rows = len(values), len(prefixes)
     flat = values.reshape(n_blocks, -1)
+    columns = _repeated_columns(flat)
     n_parts = max(1, min(_usable_cpus(), n_blocks, values.size // _MIN_PART_VALUES))
     bounds = [n_blocks * i // n_parts for i in range(n_parts + 1)]
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
         with _reaped("CSV") as workers:
             for lo, hi in zip(bounds[1:-1], bounds[2:]):
-                chunks = _format_blocks(keys, prefixes, flat, lo, hi)
+                chunks = _format_blocks(keys, prefixes, flat, lo, hi, columns)
                 workers.append(_fork_part(chunks, [pipe for _, pipe in workers]))
-            fh.writelines(_format_blocks(keys, prefixes, flat, 0, bounds[1]))
+            fh.writelines(_format_blocks(keys, prefixes, flat, 0, bounds[1], columns))
             for _, pipe in workers:
                 shutil.copyfileobj(pipe, fh)
     return n_blocks * rows

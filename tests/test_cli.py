@@ -417,6 +417,32 @@ class TestOutputs:
         assert run(argv + ["--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "argv, conversions",
+        [
+            # a density's strict upper triangle is the conjugate of its
+            # lower one: of the 2 q**2 values per omega, q (q - 1) / 2 are
+            # copies and as many negations, formatted from their sources
+            (["spectrum", "--omega-points", "64"], 64 * 6),
+            (["spectrum", "--omega-points", "64", *Q3_FLAGS], 64 * 12),
+            # random columns repeat nothing: every value is converted
+            (["simulate", "--paths", "200"], 200 * 10),
+        ],
+        ids=["spectrum", "spectrum_q3", "simulate"],
+    )
+    def test_float_to_text_conversions(
+        self, tmp_path, capsys, monkeypatch, no_fork, argv, conversions
+    ):
+        converted = []
+
+        def counted_repr(value):
+            converted.append(value)
+            return repr(value)
+
+        monkeypatch.setattr(cli, "repr", counted_repr, raising=False)
+        assert run(argv + ["--out", str(tmp_path / "t.csv")]) == 0
+        assert len(converted) == conversions
+
     def test_model_file_spectrum_bytes_pinned(self, tmp_path, capsys, no_fork):
         cfg = tmp_path / "custom.cfg"
         cfg.write_text(
@@ -551,7 +577,8 @@ def template_rows(keys, prefixes, values):
 
 
 # the doubles whose shortest round-trip form is least regular
-EDGE_VALUES = [0.0, -0.0, 1e16, 1e-5, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+MAX_FLOAT = 1.7976931348623157e308
+EDGE_VALUES = [0.0, -0.0, 1e16, 1e-5, 5e-324, MAX_FLOAT, -MAX_FLOAT]
 
 
 @st.composite
@@ -559,7 +586,9 @@ def tables(draw):
     """Keys, row prefixes and a (blocks, rows, width) value array: int or
     float keys, 1-9 rows with prefixes like the commands' own, widths 1-3.
     The values are picked from the edge values and a few drawn doubles
-    (drawing each of up to a thousand values would dominate the run)."""
+    (drawing each of up to a thousand values would dominate the run).  Some
+    value columns are a copy or a negation of an earlier column, which the
+    writer formats from that column's text."""
     rows = draw(st.integers(1, 9))
     width = draw(st.integers(1, 3))
     n_blocks = draw(st.integers(1, 40))
@@ -573,7 +602,27 @@ def tables(draw):
     picks = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).integers(
         len(pool), size=(n_blocks, rows, width)
     )
-    return keys, prefixes, pool[picks]
+    values = pool[picks]
+    flat = values.reshape(n_blocks, -1)
+    for column in range(1, flat.shape[1]):
+        if draw(st.booleans()):
+            source = flat[:, draw(st.integers(0, column - 1))]
+            flat[:, column] = np.negative(source) if draw(st.booleans()) else source
+    return keys, prefixes, values
+
+
+# columns that repeat or negate earlier ones: zeros of both signs, negative
+# sources, the smallest subnormal, the largest doubles and a NaN, which a
+# negation must not reuse (repr drops a NaN's sign)
+REPEATS_TABLE = (
+    [0, 1, 2],
+    [",a", ",b"],
+    np.array([
+        [[0.0, -0.0, -0.0], [-1.5, 1.5, -1.5]],
+        [[5e-324, -5e-324, 5e-324], [MAX_FLOAT, -MAX_FLOAT, MAX_FLOAT]],
+        [[-MAX_FLOAT, MAX_FLOAT, -MAX_FLOAT], [math.nan, -math.nan, math.nan]],
+    ]),
+)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="CSV workers are forked")
@@ -585,6 +634,8 @@ class TestParallelWriter:
         min_part_values=st.integers(1, 60),
         cpus=st.sampled_from([1, 3]),
     )
+    @example(table=REPEATS_TABLE, chunk_values=4, min_part_values=1, cpus=1)
+    @example(table=REPEATS_TABLE, chunk_values=4, min_part_values=1, cpus=3)
     def test_rows_match_the_row_template(
         self, tmp_path_factory, table, chunk_values, min_part_values, cpus
     ):

@@ -94,6 +94,17 @@ def direct_inversion(ev, scheme, taus) -> np.ndarray:
     return (growth[:, None, None] * su_sv[None] * raw).real
 
 
+def assert_exact_mirror(matrices) -> None:
+    """Each strict upper entry is the conjugate of its mirrored lower entry
+    bit for bit, not to a tolerance: the CSV writer formats the upper
+    entries from the text of the lower ones."""
+    iu, jv = np.triu_indices(matrices.shape[-1], k=1)
+    upper, lower = matrices[..., iu, jv], matrices[..., jv, iu]
+    assert np.array_equal(upper.real.view(np.uint64), lower.real.view(np.uint64))
+    sign_flipped = lower.imag.view(np.uint64) ^ np.uint64(1 << 63)
+    assert np.array_equal(upper.imag.view(np.uint64), sign_flipped)
+
+
 class TestAgainstBruteForceOracle:
     def test_block_scale_ladder_holds_for_oracle(self, canonical_scheme):
         # the negative-lag identity Q(-tau) = alpha**(-2 tau T H) Q(tau)^T
@@ -639,6 +650,7 @@ class TestFrequencyAndRangeGuards:
         except DsiLabError:
             return
         assert np.isfinite(ev.matrices).all()
+        assert_exact_mirror(ev.matrices)
 
     @settings(max_examples=75, deadline=None)
     @given(scheme=wide_schemes(), omegas=finite_omegas)
@@ -648,6 +660,7 @@ class TestFrequencyAndRangeGuards:
         except DsiLabError:
             return
         assert np.isfinite(ev.matrices).all()
+        assert_exact_mirror(ev.matrices)
 
     @settings(max_examples=75, deadline=None)
     @given(
