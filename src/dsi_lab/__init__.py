@@ -68,7 +68,9 @@ def __getattr__(name: str):
 
 def main() -> int:
     """The ``dsi-lab`` console script: ``cli.main`` with one OpenBLAS thread
-    unless ``OPENBLAS_NUM_THREADS`` is set (see "Fork safety" in ``cli``)."""
+    unless ``OPENBLAS_NUM_THREADS`` is set (see "Fork safety" in ``cli``).
+    With a larger count, the idle workers sleep as in every process whose
+    numpy ``cli`` loads (see "Idle BLAS workers" there)."""
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from . import cli
 

@@ -40,8 +40,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import SamplingScheme, in_range, index_arrays, mirror_lower, powers
-from .errors import BadIndex, InvalidModel, ModelUnstable, NegativeKappa
+from .core import TINY, SamplingScheme, in_range, index_arrays, mirror_lower, powers
+from .errors import BadIndex, InvalidModel, ModelUnstable, NegativeKappa, RangeOverflow
 
 # relative slack for the Cauchy-Schwarz admissibility check
 _CS_SLACK = 1e-12
@@ -248,7 +248,8 @@ def model_from_sbm(scheme: SamplingScheme) -> MarkovCovarianceModel:
 
     and the model is always strictly stable: |ftilde(q-1)| = lambda**H'
     < lambda**H.  RangeOverflow is raised when an entry leaves double
-    range.
+    range, or flushes towards zero: every entry is positive, and one at or
+    below the reciprocal of the largest double has underflowed.
     """
     lam = scheme.scale
     hp = scheme.H - 0.5
@@ -258,6 +259,10 @@ def model_from_sbm(scheme: SamplingScheme) -> MarkovCovarianceModel:
     R1[-1] = in_range(
         "model_from_sbm wrap product R1[q-1]", lambda: lam ** (3 * hp) * scheme.s[-1]
     )
+    for name, entries in (("R0", R0), ("R1", R1)):
+        low = np.flatnonzero(entries <= TINY)
+        if low.size:
+            raise RangeOverflow(f"model_from_sbm {name}[{low[0]}] flushes towards zero")
     return MarkovCovarianceModel(scheme=scheme, R0=R0, R1=R1)
 
 

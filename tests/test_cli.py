@@ -340,6 +340,54 @@ class TestConsoleEntry:
         assert ast.literal_eval(out.splitlines()[-1])[:2] == (0, "2")
 
 
+# imports numpy first when its argument says so, then the cli module, and
+# prints the OpenBLAS idle timeout the process was left with
+TIMEOUT_CHILD = """
+import os, sys
+if sys.argv[1] == "numpy_first":
+    import numpy
+import dsi_lab.cli
+print(repr(os.environ.get("OPENBLAS_THREAD_TIMEOUT")))
+"""
+
+# cli.main on argv in a process whose numpy the cli module loads
+MAIN_CHILD = """
+import sys, dsi_lab.cli
+sys.exit(dsi_lab.cli.main(sys.argv[1:]))
+"""
+
+
+class TestIdleBlasWorkers:
+    @pytest.mark.parametrize(
+        "order, user, left",
+        [("cli_first", None, "4"), ("cli_first", "28", "28"), ("numpy_first", None, None)],
+        ids=["default", "user_value_wins", "numpy_loaded_first"],
+    )
+    def test_timeout_default(self, order, user, left):
+        out = run_python(TIMEOUT_CHILD, order, OPENBLAS_THREAD_TIMEOUT=user)
+        assert ast.literal_eval(out.splitlines()[-1]) == left
+
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            (["spectrum", "--omega-points", "64"], ["t.csv"]),
+            (["verify", "--paths", "200"], ["t.csv", "t_estimates.csv"]),
+        ],
+        ids=["spectrum", "verify"],
+    )
+    def test_bytes_do_not_depend_on_the_timeout(self, tmp_path, argv, names):
+        outputs = []
+        for timeout in (None, "28"):
+            out = tmp_path / str(timeout)
+            out.mkdir()
+            run_python(
+                MAIN_CHILD, *argv, "--out", str(out / "t.csv"),
+                OPENBLAS_NUM_THREADS="2", OPENBLAS_THREAD_TIMEOUT=timeout,
+            )
+            outputs.append([(out / name).read_bytes() for name in names])
+        assert outputs[0] == outputs[1]
+
+
 class TestOutputs:
     def test_simulate_schema_and_determinism(self, tmp_path, capsys):
         out1 = tmp_path / "e1.csv"

@@ -224,6 +224,13 @@ class TestSampleGeometry:
         # 2**-1023 is subnormal but above 1 / DBL_MAX, so it has not flushed
         assert sample_time(canonical_scheme, -2046) == 2.0 ** -1023
 
+    @pytest.mark.xfail(strict=True, raises=RangeOverflow, reason="alpha**(n*T) alone flushes")
+    def test_time_whose_cycle_power_flushes(self):
+        # t = alpha**(-2) * s_1 = 1e-400 * 1e199 is a normal double, but the
+        # cycle power is formed first and is 0.0
+        scheme = validate_scheme(H=1.0, alpha=1e200, T=1, s=(1.0, 1e199))
+        assert sample_time(scheme, -3) == pytest.approx(1e-201, rel=1e-14)
+
     @pytest.mark.parametrize("kappa", [2 ** 70, -(2 ** 70), 2 ** 62, 2 ** 64])
     def test_index_past_int64_arithmetic(self, canonical_scheme, kappa):
         with pytest.raises(RangeOverflow):

@@ -127,6 +127,14 @@ class TestModelConstruction:
                 scheme=make_scheme(H=5.5, T=200), R0=[1.0, 1.0], R1=[0.5, 0.5]
             )
 
+    def test_reference_summary_underflow(self):
+        # lambda = alpha**217 and H' = -0.49: R0 = lambda**(2 H') is about
+        # 2.5e-230, but the wrap product lambda**(3 H') is about 4e-345 and
+        # flushes to 0.0, which the model would call a zero product
+        scheme = validate_scheme(H=0.01, alpha=12.013320440969263, T=217, s=(1.0,))
+        with pytest.raises(RangeOverflow, match=r"^model_from_sbm R1\[0\] flushes towards zero$"):
+            model_from_sbm(scheme)
+
     def test_rank_one_factor_past_double_range(self):
         # ftilde(1) = 1e-400 underflows to 0, so the factor entry
         # A[0, 2] = ftilde(-1) / ftilde(1) * R0[2] = 1e400 is no double

@@ -412,6 +412,17 @@ class TestInversion:
         with pytest.raises(RangeOverflow):
             invert_spectrum(ev, sch, [0, 2])
 
+    @pytest.mark.xfail(strict=True, raises=RangeOverflow, reason="the lag factor alone overflows")
+    def test_recovered_values_whose_factor_overflows(self):
+        # the rescaling alpha**(tau*T*H) (s_u s_v)**H of entry (1, 1) is past
+        # double range from lag 2 on (about e**945), while the recovered
+        # entries stay at or below 1e200
+        sch = make_scheme(H=0.5, T=700, s=(1.0, 1e200))
+        model = model_from_sbm(sch)
+        rec = invert_spectrum(spectral_markov(model, uniform_grid(16384)), sch, range(5))
+        want = covariance_V(model, 0, np.arange(5))
+        assert np.max(np.abs(rec.matrices - want) / np.abs(want)) < 1e-6
+
     def test_grid_too_coarse(self, canonical_scheme):
         model = model_from_sbm(canonical_scheme)
         ev = spectral_markov(model, uniform_grid(16))
