@@ -16,33 +16,29 @@ comments allowed) or from its flag, which wins; ``q``, ``R0`` and ``R1``
 have no flag.  Each value is parsed once, and a malformed one from either
 place is a ConfigError.  Every table, ``verify``'s report and estimates
 included, is formatted block by block (one block per path, tau, omega,
-check or offset) by one formatter, and a chunk's rows are joined from an
-object array of strings and the fixed prefix, comma and newline pieces.
-Each key is converted to text once, and so is each value of a distinct
-value column: a column (one value slot of every block) whose float bits
-repeat an earlier column's, exactly or with the sign bit flipped, takes
-that column's strings, its leading minus toggled if flipped.  A density
-is Hermitian with its strict upper triangle mirrored bit for bit from the
-lower one, so ``spectrum`` converts (q + 1) / (2 q) of its values.  A
-large table is split into contiguous parts of blocks, one per CPU the
-process may use: this process writes the first part while one forked
-worker per other part formats it into a pipe, and the pipes are copied
-into the file in part order, so the output bytes do not depend on the
-CPU count.  ``verify``
-likewise runs its spectral half (closed forms, series, reference density
-and inversion) in one forked worker while this process runs the random
-half (the frame round trip and the Monte Carlo estimates), and reads the
-worker's checks back through a pipe; on one CPU both run here, with the
-same bytes and the same errors.  Floats are written in shortest
-round-trip form and the simulator draws each block of 4096 paths from one
-counter-based stream keyed by (seed, block), so repeated runs of one
-configuration produce byte-identical files.
+check or offset) by one formatter: the rows of a chunk are one uint8
+matrix of key, prefix, comma, value and newline bytes, written with its NUL
+padding dropped.  Each key and each value is converted to text once; a
+float, float keys included, by the array kernel of ``_floattext``, whose
+bytes are those of ``repr``: the shortest text that reads back as the same
+double.  A large table is split into contiguous parts of blocks, one per
+CPU the process may use: this process writes the first part while one
+forked worker per other part formats it into a pipe, and the pipes are
+copied into the file in part order, so the output bytes do not depend on
+the CPU count.  ``verify`` likewise runs its spectral half (closed forms,
+series, reference density and inversion) in one forked worker while this
+process runs the random half (the frame round trip and the Monte Carlo
+estimates), and reads the worker's checks back through a pipe; on one CPU
+both run here, with the same bytes and the same errors.  The simulator
+draws each block of 4096 paths from one counter-based stream keyed by
+(seed, block), so repeated runs of one configuration produce
+byte-identical files.
 
 Fork safety: the ``dsi-lab`` console script (``dsi_lab.main``) starts
 numpy with one BLAS thread unless ``OPENBLAS_NUM_THREADS`` is set, so its
 forks come from a single-threaded process.  Forks stay safe for callers of
 ``main`` whose numpy runs BLAS threads (the tests, a benchmark) because a
-worker makes no BLAS call: it formats strings or computes elementwise
+worker makes no BLAS call: it formats text or computes elementwise
 forms, reductions and one ``numpy.fft`` (pocketfft) transform, so it never
 takes a lock a BLAS thread of the parent may hold.
 
@@ -78,6 +74,7 @@ if "numpy" not in sys.modules:
 
 import numpy as np
 
+from . import _floattext
 from .core import SamplingScheme, powers, validate_scheme
 from .errors import ConfigError, DsiLabError, ModelUnstable
 from .lamperti import StationaryGrid, inverse_quasi_lamperti, quasi_lamperti
@@ -102,12 +99,10 @@ _VERIFY_INVERT_M = 16384
 # every part of a table formatted on its own CPU has at least this many
 # values, so tables below twice this size never fork
 _MIN_PART_VALUES = 25_000
-# values formatted per string handed to the file or pipe, whether converted
-# or taken from a repeated column's source; this bounds the Python floats,
-# strings and object arrays alive at once, and so the peak memory
+# values formatted per bytes object handed to the file or pipe; this bounds
+# the kernel's arrays and the row matrix alive at once, and so the peak
+# memory
 _CHUNK_VALUES = 16_384
-# the bits of a float64 other than its sign bit
-_MAGNITUDE_BITS = (1 << 63) - 1
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -241,81 +236,43 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _repeated_columns(flat):
-    """Find the value columns of ``flat`` that repeat an earlier one.
-
-    A column is one (row, value) slot of every block, ``flat[:, c]``.  It
-    repeats the earliest column whose float64 bits it matches in every
-    block, exactly or with only the sign bit flipped; a column holding a NaN
-    is never a negated source, as ``repr`` drops a NaN's sign.  Only columns
-    whose first-block values have the same magnitude are compared in full.
-
-    Returns ``(distinct, take, negated)``: the distinct columns, for each
-    column the position in ``distinct`` of the column it is read from, and
-    the negated repeats.  When nothing repeats, ``distinct`` and ``take``
-    are plain slices, so that such a table is read and formatted without a
-    copy.
-    """
-    bits = flat.view(np.uint64)
-    first = bits[0].tolist()
-    by_magnitude: dict[int, list[int]] = {}
-    distinct, take, negated = [], [], []
-    for column, head in enumerate(first):
-        candidates = by_magnitude.setdefault(head & _MAGNITUDE_BITS, [])
-        for source in candidates:
-            # 0, or the sign bit: the two heads have the same magnitude
-            flip = head ^ first[source]
-            if np.array_equal(bits[:, column], bits[:, source] ^ np.uint64(flip)) and not (
-                flip and np.isnan(flat[:, source]).any()
-            ):
-                take.append(take[source])
-                if flip:
-                    negated.append(column)
-                break
-        else:
-            candidates.append(column)
-            take.append(len(distinct))
-            distinct.append(column)
-    if len(distinct) == len(first):
-        return slice(None), slice(None), []
-    return distinct, take, negated
-
-
-def _format_blocks(keys, prefixes: list[str], flat, lo: int, hi: int, columns):
+def _format_blocks(keys, prefixes: list[str], flat, lo: int, hi: int):
     """Yield the encoded rows of blocks lo..hi-1, about _CHUNK_VALUES values at a time.
 
-    Each chunk is one ``(blocks, rows, pieces)`` object array of strings,
-    joined once: row r of a block is its key, ``prefixes[r]`` and a comma,
-    its values separated by commas, then a newline.  Keys go through ``str``
-    once each.  ``columns`` is ``_repeated_columns(flat)``: each distinct
-    value column goes through ``repr`` once per value, as Python floats from
-    ``tolist()`` (a numpy scalar's repr is not the bare number), and a
-    repeated column takes its source's strings, with the leading ``-``
-    toggled when negated: ``repr(-x)`` is ``repr(x)`` with its sign added or
-    removed for every double but NaN.  The constant pieces are filled in
-    once per call.
+    Row r of a block is its key, ``prefixes[r]``, a comma before each of its
+    values, then a newline.  A chunk is one uint8 matrix of such rows, each
+    field in a slot as wide as its widest text and padded with NUL, and is
+    written with the NUL bytes dropped; no key, prefix or value holds one.
+    Values and float64-array keys go through ``_floattext.text``, chunk by
+    chunk; other keys go through ``str``, all at once.  The constant bytes
+    are filled in once per call.
     """
     rows = len(prefixes)
     width = flat.shape[1] // rows
-    distinct, take, negated = columns
     step = max(1, _CHUNK_VALUES // flat.shape[1])
-    pieces = np.empty((min(step, hi - lo), rows, 2 * width + 2), dtype=object)
-    pieces[:, :, 1] = [prefix + "," for prefix in prefixes]
-    pieces[:, :, 3:-1:2] = ","
-    pieces[:, :, -1] = "\n"
+    float_keys = isinstance(keys, np.ndarray) and keys.dtype == np.float64
+    if not float_keys:
+        key_text = np.array([str(key).encode() for key in keys[lo:hi]])
+        key_text = key_text.view(np.uint8).reshape(hi - lo, -1)
+    key_end = _floattext.WIDTH if float_keys else key_text.shape[1]
+    prefix_text = np.array([prefix.encode() for prefix in prefixes])
+    values_start = key_end + prefix_text.itemsize
+    row_bytes = values_start + width * (1 + _floattext.WIDTH) + 1
+    matrix = np.zeros((min(step, hi - lo), rows, row_bytes), dtype=np.uint8)
+    matrix[:, :, key_end:values_start] = prefix_text.view(np.uint8).reshape(rows, -1)
+    values = matrix[:, :, values_start:-1].reshape(len(matrix), rows, width, -1)
+    values[..., 0] = ord(",")
+    matrix[:, :, -1] = ord("\n")
     for start in range(lo, hi, step):
         stop = min(start + step, hi)
-        chunk = pieces[: stop - start]
-        chunk[:, :, 0] = np.array(list(map(str, keys[start:stop])), dtype=object)[:, None]
-        texts = np.array(
-            list(map(repr, flat[start:stop, distinct].ravel().tolist())), dtype=object
-        ).reshape(stop - start, -1)[:, take]
-        for column in negated:
-            texts[:, column] = [
-                text[1:] if text[0] == "-" else "-" + text for text in texts[:, column].tolist()
-            ]
-        chunk[:, :, 2::2] = texts.reshape(stop - start, rows, width)
-        yield "".join(chunk.ravel().tolist()).encode()
+        chunk = matrix[: stop - start]
+        chunk[:, :, :key_end] = (
+            _floattext.text(keys[start:stop]) if float_keys else key_text[start - lo : stop - lo]
+        )[:, None]
+        values[: stop - start, ..., 1:] = _floattext.text(flat[start:stop]).reshape(
+            stop - start, rows, width, -1
+        )
+        yield chunk[chunk != 0].tobytes()
 
 
 def _fork_part(chunks, open_pipes: list[BinaryIO]) -> tuple[int, BinaryIO]:
@@ -383,13 +340,11 @@ def _reaped(what: str):
 def _write_blocks(path: str, header: str, keys, prefixes: list[str], values) -> int:
     """Write one block of rows per key to a CSV table; return the row count.
 
-    Row r of block b is ``str(keys[b])``, then ``prefixes[r]`` (its fields
-    with their leading commas), then ``values[b, r, ...]`` flattened, each
-    value a comma and its ``repr``, the shortest round-trip float.  Rows are
-    joined from string pieces by ``_format_blocks``.  The value columns
-    that repeat an earlier one, exactly or negated, are found once here,
-    before any fork, by ``_repeated_columns``; this process and every worker
-    format from that one map, converting only the distinct columns.
+    Row r of block b is the text of ``keys[b]`` (its ``repr`` if ``keys`` is
+    a float64 array, else its ``str``), then ``prefixes[r]`` (its fields with
+    their leading commas), then ``values[b, r, ...]`` flattened, each value
+    a comma and its ``repr``, the shortest round-trip float.  The rows are
+    laid out in byte matrices by ``_format_blocks``.
 
     The blocks are cut into contiguous parts, one per usable CPU with at
     least _MIN_PART_VALUES values each, so smaller tables stay in-process.
@@ -401,16 +356,15 @@ def _write_blocks(path: str, header: str, keys, prefixes: list[str], values) -> 
     """
     n_blocks, rows = len(values), len(prefixes)
     flat = values.reshape(n_blocks, -1)
-    columns = _repeated_columns(flat)
     n_parts = max(1, min(_usable_cpus(), n_blocks, values.size // _MIN_PART_VALUES))
     bounds = [n_blocks * i // n_parts for i in range(n_parts + 1)]
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
         with _reaped("CSV") as workers:
             for lo, hi in zip(bounds[1:-1], bounds[2:]):
-                chunks = _format_blocks(keys, prefixes, flat, lo, hi, columns)
+                chunks = _format_blocks(keys, prefixes, flat, lo, hi)
                 workers.append(_fork_part(chunks, [pipe for _, pipe in workers]))
-            fh.writelines(_format_blocks(keys, prefixes, flat, 0, bounds[1], columns))
+            fh.writelines(_format_blocks(keys, prefixes, flat, 0, bounds[1]))
             for _, pipe in workers:
                 shutil.copyfileobj(pipe, fh)
     return n_blocks * rows
@@ -461,7 +415,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     model = _build_model(cfg)
     ev = spectral_markov(model, _uniform_grid(cfg.omega_points))
     rows = _write_blocks(
-        cfg.out, "omega,u,v,re,im", ev.omegas.tolist(),
+        cfg.out, "omega,u,v,re,im", ev.omegas,
         _uv_prefixes(cfg.scheme.q), np.stack([ev.matrices.real, ev.matrices.imag], -1),
     )
     print(f"wrote {rows} density entries to {cfg.out}")

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from dsi_lab import DsiLabError, RangeOverflow, cli, covariance_V, model_from_sbm, validate_scheme
+from dsi_lab import DsiLabError, RangeOverflow, _floattext, cli, covariance_V, model_from_sbm
+from dsi_lab import validate_scheme
 from dsi_lab.cli import main
 from conftest import run_python
 
@@ -466,30 +467,30 @@ class TestOutputs:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize(
-        "argv, conversions",
+        "argv, converted",
         [
-            # a density's strict upper triangle is the conjugate of its
-            # lower one: of the 2 q**2 values per omega, q (q - 1) / 2 are
-            # copies and as many negations, formatted from their sources
-            (["spectrum", "--omega-points", "64"], 64 * 6),
-            (["spectrum", "--omega-points", "64", *Q3_FLAGS], 64 * 12),
-            # random columns repeat nothing: every value is converted
+            # 64 float keys (omega) and 2 q**2 values per key
+            (["spectrum", "--omega-points", "64"], 64 + 64 * 8),
+            (["spectrum", "--omega-points", "64", *Q3_FLAGS], 64 + 64 * 18),
+            # integer keys (path_id) go through str; 10 values per path
             (["simulate", "--paths", "200"], 200 * 10),
         ],
         ids=["spectrum", "spectrum_q3", "simulate"],
     )
-    def test_float_to_text_conversions(
-        self, tmp_path, capsys, monkeypatch, no_fork, argv, conversions
+    def test_values_reach_the_kernel_once(
+        self, tmp_path, capsys, monkeypatch, no_fork, argv, converted
     ):
-        converted = []
+        # every float key and value is converted once, by the float kernel
+        sizes = []
+        text = _floattext.text
 
-        def counted_repr(value):
-            converted.append(value)
-            return repr(value)
+        def counted_text(values):
+            sizes.append(values.size)
+            return text(values)
 
-        monkeypatch.setattr(cli, "repr", counted_repr, raising=False)
+        monkeypatch.setattr(_floattext, "text", counted_text)
         assert run(argv + ["--out", str(tmp_path / "t.csv")]) == 0
-        assert len(converted) == conversions
+        assert sum(sizes) == converted
 
     def test_model_file_spectrum_bytes_pinned(self, tmp_path, capsys, no_fork):
         cfg = tmp_path / "custom.cfg"
@@ -635,8 +636,7 @@ def tables(draw):
     float keys, 1-9 rows with prefixes like the commands' own, widths 1-3.
     The values are picked from the edge values and a few drawn doubles
     (drawing each of up to a thousand values would dominate the run).  Some
-    value columns are a copy or a negation of an earlier column, which the
-    writer formats from that column's text."""
+    value columns are a copy or a negation of an earlier column."""
     rows = draw(st.integers(1, 9))
     width = draw(st.integers(1, 3))
     n_blocks = draw(st.integers(1, 40))
@@ -659,9 +659,9 @@ def tables(draw):
     return keys, prefixes, values
 
 
-# columns that repeat or negate earlier ones: zeros of both signs, negative
-# sources, the smallest subnormal, the largest doubles and a NaN, which a
-# negation must not reuse (repr drops a NaN's sign)
+# columns that repeat or negate earlier ones: zeros of both signs, the
+# smallest subnormal, the largest doubles and NaN of both signs, which repr
+# writes alike
 REPEATS_TABLE = (
     [0, 1, 2],
     [",a", ",b"],
