@@ -25,8 +25,8 @@ __version__ = "0.1.0"
 # module: the public names it defines
 _PUBLIC = {
     "core": (
-        "SampleGrid", "SamplingScheme", "embed_index", "sample_points",
-        "sample_time", "split_index", "validate_scheme",
+        "SampleGrid", "SamplingScheme", "sample_points", "sample_time",
+        "split_index", "validate_scheme",
     ),
     "errors": (
         "BadBase", "BadIndex", "BadInterval", "ConfigError", "DsiLabError",
@@ -35,21 +35,21 @@ _PUBLIC = {
         "RangeOverflow", "RangeTooSmall", "ToleranceUnreachable",
     ),
     "lamperti": (
-        "SelfSimilarGrid", "StationaryGrid", "embedded_to_stationary",
-        "inverse_quasi_lamperti", "quasi_lamperti",
+        "SelfSimilarGrid", "StationaryGrid", "inverse_quasi_lamperti",
+        "quasi_lamperti",
     ),
     "markov_cov": (
-        "MarkovCovarianceModel", "covariance_V", "covariance_W",
-        "doob_factorization", "f_tilde", "model_from_sbm",
+        "MarkovCovarianceModel", "covariance_V", "covariance_W", "f_tilde",
+        "model_from_sbm",
     ),
     "sbm_sim": (
-        "EstimateWithError", "PathEnsemble", "estimate_Q", "estimate_R",
+        "EstimateWithError", "PathEnsemble", "estimate_R",
         "sbm_covariance_exact", "simulate_paths",
     ),
     "spectral": (
         "CovarianceRecovery", "SeriesMeta", "SpectralEvaluation",
-        "invert_spectrum", "markov_covfn", "spectral_distribution_interval",
-        "spectral_markov", "spectral_sbm", "spectral_series",
+        "invert_spectrum", "markov_covfn", "spectral_markov", "spectral_sbm",
+        "spectral_series",
     ),
 }
 _OWNER = {name: module for module, names in _PUBLIC.items() for name in names}

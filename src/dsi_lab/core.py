@@ -8,7 +8,7 @@ cycle ``[1, alpha**T)``.  Cycle ``n`` (any integer) contains the points
     kappa = n*q + u,   0 <= u < q
 
 enumerates all points in time order.  This module owns the index algebra
-(splitting kappa into the cycle/offset pair and back) and the physical
+(splitting kappa into the cycle/offset pair) and the physical
 time of each sample, plus validation of the scheme parameters.
 :func:`sample_points` returns a whole index range as one
 :class:`SampleGrid` of parallel arrays ``(kappa, n, u, times)``.
@@ -227,20 +227,6 @@ def split_index(kappa: int, q: int) -> tuple[int, int]:
     if q < 1:
         raise BadIndex(f"q must be >= 1, got {q}")
     return divmod(kappa, q)
-
-
-def embed_index(n: int, u: int, q: int) -> int:
-    """Inverse of :func:`split_index`: kappa = n*q + u with 0 <= u < q.
-
-    n, u and q are read by :func:`index_arrays`, as in :func:`split_index`.
-    """
-    _, (n, u, q) = index_arrays("embed_index", 1, n=n, u=u, q=q)
-    n, u, q = n.item(), u.item(), q.item()
-    if q < 1:
-        raise BadIndex(f"q must be >= 1, got {q}")
-    if not (0 <= u < q):
-        raise OffsetOutOfRange(f"offset index u must satisfy 0 <= u < {q}, got {u}")
-    return n * q + u
 
 
 class SampleGrid(NamedTuple):

@@ -61,7 +61,8 @@ class RangeTooSmall(DsiLabError):
 
 
 class BadInterval(DsiLabError):
-    """Spectral interval endpoints must satisfy 0 <= lo < hi < 2*pi."""
+    """A spectral input is malformed: a frequency that is not finite, a
+    density or ``covfn(0)`` of the wrong shape, or an empty list of lags."""
 
 
 class ConfigError(DsiLabError):

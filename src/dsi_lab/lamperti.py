@@ -10,10 +10,6 @@ on the log-scale axis through
 The maps below act on sampled grids: a grid on the log axis maps to a grid
 on the positive half-line and back, with values rescaled by the power-law
 envelope.  They are exact inverses of each other up to floating point.
-
-:func:`embedded_to_stationary` specializes the inverse map to the flat
-embedded sample sequence of a :class:`~dsi_lab.core.SamplingScheme`, whose
-image lands on the uniform-in-log grid n*T + log_alpha(s_u).
 """
 
 from __future__ import annotations
@@ -23,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TINY, SamplingScheme, check_index_and_base, in_range, sample_points
+from .core import TINY, check_index_and_base, in_range
 from .errors import BadIndex, NonPositivePoint, RangeOverflow
 
 
@@ -121,29 +117,4 @@ def inverse_quasi_lamperti(x: SelfSimilarGrid, H: float, alpha: float) -> Statio
         "log_alpha(points) and points**(-H) * values",
         lambda: (np.log(x.points) / math.log(alpha), x.points ** (-H) * x.values),
     )
-    return StationaryGrid(times=times, values=values)
-
-
-def embedded_to_stationary(
-    values, scheme: SamplingScheme, kappa_start: int = 0
-) -> StationaryGrid:
-    """Strip the scale envelope from a flat embedded sample sequence.
-
-    ``values[i]`` is the observed process at flat index kappa_start + i;
-    the result carries the stationary-side samples
-
-        eta(kappa) = t_kappa**(-H) * values[kappa]
-
-    at log-axis times n*T + log_alpha(s_u), which repeat with period T.
-    RangeOverflow is raised if an envelope factor or a rescaled value is
-    not a finite double, as for a non-finite input value.
-    """
-    vals = _as_float_vector(values, "values")
-    if vals.size == 0:
-        raise BadIndex("values must be non-empty")
-    grid = sample_points(scheme, kappa_start, kappa_start + vals.size - 1)
-    log_alpha = math.log(scheme.alpha)
-    phase = np.array([math.log(s_u) / log_alpha for s_u in scheme.s])
-    times = grid.n * scheme.T + phase[grid.u]
-    values = in_range("t**(-H) * values", lambda: grid.times ** (-scheme.H) * vals)
     return StationaryGrid(times=times, values=values)

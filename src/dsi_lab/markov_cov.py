@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -264,21 +263,3 @@ def model_from_sbm(scheme: SamplingScheme) -> MarkovCovarianceModel:
         if low.size:
             raise RangeOverflow(f"model_from_sbm {name}[{low[0]}] flushes towards zero")
     return MarkovCovarianceModel(scheme=scheme, R0=R0, R1=R1)
-
-
-def doob_factorization(
-    model: MarkovCovarianceModel, kappa_range: Iterable[int] | Sequence[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Factor the covariance as R_kappa(tau) = G(kappa) * Hfac(kappa + tau).
-
-    Returns the pair of arrays (G, Hfac) over the given kappa values
-    (each must be >= 0), normalized by Hfac = ftilde(kappa - 1) so that
-    Hfac(0) = 1 and G(kappa) = R_kappa(0) / Hfac(kappa).  For a wide-sense
-    Markov sequence with nonnegative ratios the quotient G / Hfac is
-    nondecreasing in kappa.  RangeOverflow is raised when a factor leaves
-    double range, as G does where Hfac underflowed to 0.
-    """
-    kappas = np.asarray(list(kappa_range))
-    var = covariance_W(model, kappas, 0)
-    hfac = f_tilde(model, kappas - 1)
-    return in_range("doob_factorization G", lambda: var / hfac), hfac

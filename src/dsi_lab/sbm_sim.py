@@ -25,12 +25,9 @@ function of key and counter, so path i is the K normals at positions
 alone, and adding paths to a run never changes the earlier ones.
 
 An ensemble carries the :class:`~dsi_lab.core.SampleGrid` of its columns.
-Both moment estimators return one :class:`EstimateWithError` of arrays:
-:func:`estimate_R` one (q,) record per lag 0 and 1, :func:`estimate_Q` one
-(tau_max + 1, q, q) record, the shape of
-:func:`~dsi_lab.markov_cov.covariance_V` over the same lags.  Every entry is
-the mean of the per-path products with its standard error, computed alike,
-so a moment that both estimate has the same value bit for bit.
+The moment estimator :func:`estimate_R` returns one (q,) record of arrays,
+:class:`EstimateWithError`, per lag 0 and 1: every entry is the mean of
+the per-path products with its standard error.
 """
 
 from __future__ import annotations
@@ -216,22 +213,3 @@ def estimate_R(ensemble: PathEnsemble) -> tuple[EstimateWithError, EstimateWithE
     """
     j = np.arange(ensemble.scheme.q)
     return _product_moments(ensemble, j, j), _product_moments(ensemble, j + 1, j)
-
-
-def estimate_Q(ensemble: PathEnsemble, tau_max: int) -> EstimateWithError:
-    """Moment estimates of the blocked lag matrices Q(0, tau), tau = 0..tau_max.
-
-    Returns one record of (tau_max + 1, q, q) arrays, the shape of
-    ``covariance_V(model, 0, range(tau_max + 1))``: entry [tau, u, v]
-    averages W(tau*q + u) * W(v) over paths.  Requires flat indices
-    0..(tau_max + 1)*q - 1 in the ensemble, and raises RangeTooSmall and
-    RangeOverflow as :func:`estimate_R` does.
-    """
-    if tau_max < 0:
-        raise BadIndex(f"tau_max must be >= 0, got {tau_max}")
-    q = ensemble.scheme.q
-    # a lag past the ensemble's last index is refused all the same: build
-    # at most one such lag, however large tau_max is
-    last = min(tau_max, int(ensemble.grid.kappa[-1]) // q + 1)
-    tau, u, v = np.ix_(range(last + 1), range(q), range(q))
-    return _product_moments(ensemble, tau * q + u, v)

@@ -31,9 +31,7 @@ uniform M-point frequency grid by the rectangle rule
     Q[u, v](tau) ~ alpha**(tau T H) (s_u s_v)**H * (2 pi / M)
                    * sum_k exp(i omega_k tau) g[u, v](omega_k),
 
-evaluated at every lag by one inverse FFT of the density, and
-:func:`spectral_distribution_interval` integrates a scalar density over
-[lo, hi) from its covariance Fourier coefficients.
+evaluated at every lag by one inverse FFT of the density.
 """
 
 from __future__ import annotations
@@ -373,43 +371,6 @@ def invert_spectrum(
         matrices=full.real.copy(),
         imag_residue=float(np.abs(full.imag).max()),
     )
-
-
-def spectral_distribution_interval(b, lo: float, hi: float) -> complex:
-    """Spectral mass of a scalar stationary sequence on the interval [lo, hi).
-
-    ``b`` holds the covariance Fourier coefficients B(tau) for
-    tau = -N..N (length 2N + 1, zero lag in the middle).  The mass is
-
-        F = (hi - lo) / (2 pi) * B(0)
-            + (1 / 2 pi) * sum_{tau != 0} B(tau) * (e^{-i hi tau} - e^{-i lo tau}) / (-i tau),
-
-    which for a summable sequence converges to the integral of the density
-    over the interval; the full circle [0, 2 pi) returns exactly B(0).
-    Endpoints must satisfy 0 <= lo < hi <= 2 pi and the coefficients must be
-    finite (BadInterval); a mass outside double range raises RangeOverflow.
-    """
-    b = np.asarray(b)
-    if b.ndim != 1 or b.size % 2 != 1 or b.size < 3:
-        raise BadInterval(
-            f"coefficients must be a one-dimensional odd-length array (tau = -N..N), "
-            f"got shape {b.shape}"
-        )
-    if not (0.0 <= lo < hi <= _TWO_PI):
-        raise BadInterval(
-            f"interval must satisfy 0 <= lo < hi <= 2*pi, got [{lo}, {hi})"
-        )
-    if not np.isfinite(b).all():
-        raise BadInterval("coefficients must be finite")
-    N = b.size // 2
-    tau = np.concatenate([np.arange(-N, 0), np.arange(1, N + 1)])
-    coeff = np.concatenate([b[:N], b[N + 1:]])
-    kernel = (np.exp(-1j * hi * tau) - np.exp(-1j * lo * tau)) / (-1j * tau)
-    mass = in_range(
-        "spectral_distribution_interval mass",
-        lambda: (hi - lo) / _TWO_PI * b[N] + (coeff / _TWO_PI * kernel).sum(),
-    )
-    return complex(mass)
 
 
 def markov_covfn(model: MarkovCovarianceModel) -> Callable[[int], np.ndarray]:

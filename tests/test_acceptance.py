@@ -14,12 +14,12 @@ from dsi_lab import (
     StationaryGrid,
     covariance_V,
     covariance_W,
-    embed_index,
     inverse_quasi_lamperti,
     invert_spectrum,
     markov_covfn,
     model_from_sbm,
     quasi_lamperti,
+    sample_points,
     sbm_covariance_exact,
     simulate_paths,
     estimate_R,
@@ -201,13 +201,16 @@ def test_07_structural_invariants():
             float(np.max(np.abs(back.values - grid.values))) / scale_v,
         )
 
-    # index bijection over the pinned range
+    # index bijection over the pinned range, on the sampling grid
     bijection_ok = True
     for q in range(1, 9):
-        for kappa in range(-1000, 1001):
-            n, u = split_index(kappa, q)
-            if not (0 <= u < q and embed_index(n, u, q) == kappa):
-                bijection_ok = False
+        grid = sample_points(make_scheme(s=[1.0 + u / q for u in range(q)]), -1000, 1000)
+        split = [split_index(k, q) for k in grid.kappa.tolist()]
+        bijection_ok &= bool(
+            (grid.kappa == grid.n * q + grid.u).all()
+            and ((0 <= grid.u) & (grid.u < q)).all()
+            and split == list(zip(grid.n.tolist(), grid.u.tolist()))
+        )
 
     # Hermitian density matrices across evaluation styles
     rng2 = np.random.default_rng(101)

@@ -14,7 +14,6 @@ from dsi_lab import (
     NonIncreasingOffsets,
     OffsetOutOfRange,
     RangeOverflow,
-    embed_index,
     sample_points,
     sample_time,
     split_index,
@@ -72,37 +71,32 @@ class TestSplitIndex:
             split_index(2 ** 70, 3)
 
 
+def _offset_scheme(q: int):
+    # q offsets in the base cycle [1, 2): the time of every cycle n in
+    # [-1000, 1000] is a normal double
+    return make_scheme(s=tuple(1.0 + u / q for u in range(q)))
+
+
 class TestEmbedIndex:
+    """The embedding kappa = n*q + u, 0 <= u < q, as sample_points lays it out."""
+
     def test_examples(self):
-        assert embed_index(2, 1, 2) == 5
-        assert embed_index(-1, 2, 3) == -1
-
-    def test_rejects_offset_outside_block(self):
-        with pytest.raises(OffsetOutOfRange):
-            embed_index(0, 2, 2)
-        with pytest.raises(OffsetOutOfRange):
-            embed_index(0, -1, 2)
-
-    @pytest.mark.parametrize(
-        "n, u, q", [(0.5, 1, 2), (0, 0.5, 2), (0, 1, 2.5), (-math.inf, 1, 2), (0, math.nan, 2)]
-    )
-    def test_rejects_non_integral_index(self, n, u, q):
-        # no truncation: embed_index(0.5, 1, 2) was 1
-        with pytest.raises(BadIndex):
-            embed_index(n, u, q)
-
-    def test_integral_float_counts_as_its_value(self):
-        assert embed_index(2.0, 1.0, 2.0) == 5
-        assert type(embed_index(2.0, 1.0, 2.0)) is int
+        grid = sample_points(_offset_scheme(2), 5, 5)
+        assert (grid.n.tolist(), grid.u.tolist()) == ([2], [1])
+        grid = sample_points(_offset_scheme(3), -1, -1)
+        assert (grid.n.tolist(), grid.u.tolist()) == ([-1], [2])
 
     @given(
-        kappa=st.integers(min_value=-1000, max_value=1000),
+        kappa=st.integers(min_value=-1000, max_value=990),
+        span=st.integers(min_value=0, max_value=10),
         q=st.integers(min_value=1, max_value=8),
     )
-    def test_bijection_with_split(self, kappa, q):
-        n, u = split_index(kappa, q)
-        assert 0 <= u < q
-        assert embed_index(n, u, q) == kappa
+    def test_bijection_with_split(self, kappa, span, q):
+        grid = sample_points(_offset_scheme(q), kappa, kappa + span)
+        assert (grid.kappa == grid.n * q + grid.u).all()
+        assert ((0 <= grid.u) & (grid.u < q)).all()
+        for k, n, u in zip(grid.kappa.tolist(), grid.n.tolist(), grid.u.tolist()):
+            assert split_index(k, q) == (n, u)
 
     @given(
         n=st.integers(min_value=-500, max_value=500),
@@ -112,7 +106,8 @@ class TestEmbedIndex:
     def test_split_inverts_embed(self, n, u, q):
         if u >= q:
             return
-        assert split_index(embed_index(n, u, q), q) == (n, u)
+        grid = sample_points(_offset_scheme(q), n * q + u, n * q + u)
+        assert (grid.n.tolist(), grid.u.tolist()) == ([n], [u])
 
 
 class TestValidateScheme:
@@ -304,6 +299,30 @@ def test_star_import_resolves_every_public_name():
     assert set(dsi_lab.__all__) <= namespace.keys()
     for name in dsi_lab.__all__:
         assert namespace[name] is getattr(dsi_lab, name)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "embed_index",
+        "spectral_distribution_interval",
+        "estimate_Q",
+        "doob_factorization",
+        "embedded_to_stationary",
+    ],
+)
+def test_removed_names_are_gone(name):
+    # the public surface is what the commands and checks use; split_index
+    # stays while the benchmark still counts its calls
+    import dsi_lab
+
+    assert name not in dsi_lab.__all__
+    with pytest.raises(AttributeError):
+        getattr(dsi_lab, name)
+    with pytest.raises(ImportError):
+        exec(f"from dsi_lab import {name}", {})
+    assert "split_index" in dsi_lab.__all__
+    assert dsi_lab.split_index(5, 2) == (2, 1)
 
 
 def test_import_is_lazy():

@@ -15,12 +15,9 @@ from dsi_lab import (
     RangeOverflow,
     SelfSimilarGrid,
     StationaryGrid,
-    embedded_to_stationary,
     inverse_quasi_lamperti,
     quasi_lamperti,
-    sample_points,
 )
-from conftest import make_scheme, wide_schemes
 
 
 class TestGridTypes:
@@ -184,54 +181,6 @@ class TestQuasiLamperti:
         assert np.max(np.abs(back.values - x.values)) <= 1e-12 * (
             1.0 + np.max(np.abs(x.values))
         )
-
-
-class TestEmbeddedToStationary:
-    def test_power_law_flattens_to_constant(self, canonical_scheme):
-        values = sample_points(canonical_scheme, 0, 3).times ** canonical_scheme.H
-        grid = embedded_to_stationary(values, canonical_scheme)
-        assert np.allclose(grid.values, 1.0, rtol=0, atol=1e-14)
-        expected_times = [0.0, math.log2(1.5), 1.0, 1.0 + math.log2(1.5)]
-        assert np.allclose(grid.times, expected_times, rtol=0, atol=1e-14)
-
-    def test_log_times_repeat_with_cycle_period(self):
-        sch = make_scheme(H=0.7, alpha=1.7, T=2, s=(1.0, 1.4, 2.3))
-        grid = embedded_to_stationary(np.ones(9), sch)
-        phases = grid.times.reshape(3, 3) - np.arange(3)[:, None] * sch.T
-        assert np.allclose(phases - phases[0], 0.0, atol=1e-12)
-
-    def test_kappa_start_matches_slice(self, canonical_scheme):
-        rng = np.random.default_rng(5)
-        values = rng.standard_normal(8)
-        full = embedded_to_stationary(values, canonical_scheme, kappa_start=0)
-        tail = embedded_to_stationary(values[2:], canonical_scheme, kappa_start=2)
-        assert np.allclose(full.times[2:], tail.times, atol=1e-14)
-        assert np.allclose(full.values[2:], tail.values, atol=1e-14)
-
-    def test_empty_rejected(self, canonical_scheme):
-        with pytest.raises(BadIndex):
-            embedded_to_stationary([], canonical_scheme)
-
-    def test_rescaled_values_past_double_range(self):
-        # t = 2**-100 at kappa = -200 gives the envelope t**-5 = 2**500
-        sch = make_scheme(H=5.0)
-        with pytest.raises(RangeOverflow):
-            embedded_to_stationary([1e300, 1.0, 1.0], sch, kappa_start=-200)
-        with pytest.raises(RangeOverflow):
-            embedded_to_stationary([math.inf, 1.0], sch)
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        scheme=wide_schemes(),
-        values=st.lists(st.floats(allow_nan=False), min_size=1, max_size=6),
-        kappa_start=st.integers(min_value=-5000, max_value=5000),
-    )
-    def test_finite_or_error(self, scheme, values, kappa_start):
-        try:
-            grid = embedded_to_stationary(values, scheme, kappa_start)
-        except DsiLabError:
-            return
-        assert np.isfinite(grid.times).all() and np.isfinite(grid.values).all()
 
     def test_white_noise_covariance_transport(self):
         # iid unit-variance stationary input: the transformed process must

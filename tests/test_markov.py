@@ -17,7 +17,6 @@ from dsi_lab import (
     RangeOverflow,
     covariance_V,
     covariance_W,
-    doob_factorization,
     f_tilde,
     model_from_sbm,
     sbm_covariance_exact,
@@ -484,53 +483,3 @@ class TestCovarianceV:
         except DsiLabError:
             return
         assert np.isfinite(matrix).all()
-
-
-class TestDoobFactorization:
-    def test_reference_values(self, canonical_model):
-        G, Hfac = doob_factorization(canonical_model, range(3))
-        assert Hfac == pytest.approx([1.0, 1.0, SQRT2])
-        assert G == pytest.approx([2.0, 3.0, 8.0 / SQRT2])
-
-    def test_reconstructs_covariance(self):
-        rng = np.random.default_rng(43)
-        for _ in range(8):
-            model = random_stable_model(rng)
-            kappas = range(0, 12)
-            G, Hfac = doob_factorization(model, kappas)
-            for kappa in range(8):
-                for tau in range(4):
-                    want = covariance_W(model, kappa, tau)
-                    assert G[kappa] * Hfac[kappa + tau] == pytest.approx(
-                        want, rel=1e-12
-                    )
-
-    def test_quotient_nondecreasing_for_positive_ratios(self, canonical_model):
-        G, Hfac = doob_factorization(canonical_model, range(20))
-        quotient = G / Hfac
-        assert np.all(np.diff(quotient) >= -1e-12 * np.abs(quotient[:-1]))
-
-    def test_negative_kappa_rejected(self, canonical_model):
-        with pytest.raises(NegativeKappa):
-            doob_factorization(canonical_model, [-1, 0, 1])
-
-    def test_underflowed_factor_past_double_range(self, canonical_scheme):
-        # ftilde(1) = 1e-400 underflows to 0, so G(2) = R_2(0) / ftilde(1)
-        # is no double
-        model = MarkovCovarianceModel(
-            scheme=canonical_scheme, R0=[1.0, 1.0], R1=[1e-200, 1e-200]
-        )
-        with pytest.raises(RangeOverflow):
-            doob_factorization(model, range(5))
-
-    @settings(max_examples=75, deadline=None)
-    @given(
-        drawn=wide_models(),
-        kappas=st.lists(st.integers(min_value=0, max_value=5000), min_size=1, max_size=4),
-    )
-    def test_finite_or_error(self, drawn, kappas):
-        try:
-            G, Hfac = doob_factorization(build(drawn), kappas)
-        except DsiLabError:
-            return
-        assert np.isfinite(G).all() and np.isfinite(Hfac).all()

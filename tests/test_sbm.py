@@ -1,6 +1,7 @@
 """Reference process: exact covariance, reproducible simulation, estimators."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -15,15 +16,42 @@ from dsi_lab import (
     RangeTooSmall,
     covariance_V,
     covariance_W,
-    estimate_Q,
     estimate_R,
     model_from_sbm,
     sbm_covariance_exact,
     simulate_paths,
+    validate_scheme,
 )
 from conftest import make_scheme, random_scheme, wide_indices, wide_schemes
 
 SQRT2 = math.sqrt(2.0)
+
+
+def exact_covariance(scheme, kappa1: int, kappa2: int) -> float:
+    # lambda**((b1 + b2) H') * min(t1, t2) at 80 digits, from the double
+    # inputs: alpha**(T (b1 + b2) (H - 1/2)) * alpha**(n T) * s_u
+    with localcontext() as ctx:
+        ctx.prec = 80
+        alpha = Decimal(scheme.alpha)
+        (n1, u1), (n2, u2) = divmod(kappa1, scheme.q), divmod(kappa2, scheme.q)
+        t_min = min(
+            alpha ** (n * scheme.T) * Decimal(scheme.s[u]) for n, u in ((n1, u1), (n2, u2))
+        )
+        exponent = scheme.T * (n1 + n2 + 2) * (Decimal(scheme.H) - Decimal("0.5"))
+        return float((alpha.ln() * exponent).exp() * t_min)
+
+
+def block_moments(ensemble, tau_max: int):
+    # Q(tau)[u, v] as the mean of W(tau*q + u) W(v) over paths, with its
+    # standard error std(ddof=1) / sqrt(P), for an ensemble from kappa = 0
+    paths, q = ensemble.paths, ensemble.scheme.q
+    shape = (tau_max + 1, q, q)
+    value, std_error = np.empty(shape), np.empty(shape)
+    for tau, u, v in np.ndindex(shape):
+        products = paths[:, tau * q + u] * paths[:, v]
+        value[tau, u, v] = products.mean()
+        std_error[tau, u, v] = products.std(ddof=1) / math.sqrt(paths.shape[0])
+    return value, std_error
 
 
 class TestExactCovariance:
@@ -94,6 +122,35 @@ class TestExactCovariance:
             return
         assert value.shape == np.broadcast_shapes(np.shape(kappa1), np.shape(kappa2))
         assert np.isfinite(value).all()
+
+    def test_exact_reference_agrees_in_the_normal_range(self):
+        # the oracle of the pins below, where the closed form is right
+        for scheme in (make_scheme(H=1.0), make_scheme(H=0.3, alpha=3.0, T=2)):
+            kappa = np.arange(12)
+            got = sbm_covariance_exact(scheme, kappa[:, None], kappa)
+            want = [[exact_covariance(scheme, k1, k2) for k2 in range(12)] for k1 in range(12)]
+            assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="the band factor lam**(b H') is subnormal or flushed to zero "
+        "before it multiplies the time",
+    )
+    @pytest.mark.parametrize(
+        "H, alpha, T, s, kappa",
+        [
+            # returns 5.744807195140361e-16, 1.7e-5 relative off
+            (0.01, 5.633447289561719, 29, (1.0, 1.0000000050132924), 29),
+            # returns 0.0
+            (0.01, 12.013320440969263, 217, (1.0,), 1),
+        ],
+    )
+    def test_band_factor_below_normal_range(self, H, alpha, T, s, kappa):
+        scheme = validate_scheme(H=H, alpha=alpha, T=T, s=s)
+        want = exact_covariance(scheme, kappa, kappa)
+        got = sbm_covariance_exact(scheme, kappa, kappa)
+        assert abs(got - want) <= 1e-12 * want
 
     def test_negative_index_rejected(self, canonical_scheme):
         with pytest.raises(NegativeKappa):
@@ -265,17 +322,17 @@ class TestEstimators:
 
     def test_block_moments_within_four_se(self, big_ensemble):
         model = model_from_sbm(big_ensemble.scheme)
-        qm = estimate_Q(big_ensemble, 3)
+        value, std_error = block_moments(big_ensemble, 3)
         want = covariance_V(model, 0, range(4))
-        assert qm.value.shape == qm.std_error.shape == want.shape == (4, 2, 2)
-        z = np.abs(qm.value - want) / qm.std_error
+        assert value.shape == want.shape == (4, 2, 2)
+        z = np.abs(value - want) / std_error
         assert np.max(z) <= 4.0
 
     def test_lag_zero_block_estimate_is_symmetric_target(self, big_ensemble):
         # the tau = 0 moment matrix estimates E[W(u) W(v)], which is the
         # symmetrized matrix, not the one-sided product form
         model = model_from_sbm(big_ensemble.scheme)
-        value, std_error = (field[0] for field in estimate_Q(big_ensemble, 0))
+        value, std_error = (field[0] for field in block_moments(big_ensemble, 0))
         want = covariance_V(model, 0, 0)
         z = np.abs(value - want) / std_error
         assert np.max(z) <= 4.0
@@ -285,11 +342,6 @@ class TestEstimators:
         narrow = simulate_paths(canonical_scheme, (0, 1), 16, 3)
         with pytest.raises(RangeTooSmall):
             estimate_R(narrow)
-        with pytest.raises(RangeTooSmall):
-            estimate_Q(narrow, 2)
-        # refused without building an array of 10**12 lags
-        with pytest.raises(RangeTooSmall):
-            estimate_Q(narrow, 10 ** 12)
         single = simulate_paths(canonical_scheme, (0, 4), 1, 3)
         with pytest.raises(RangeTooSmall):
             estimate_R(single)
@@ -301,8 +353,6 @@ class TestEstimators:
         assert np.isfinite(ens.paths).all()
         with pytest.raises(RangeOverflow):
             estimate_R(ens)
-        with pytest.raises(RangeOverflow):
-            estimate_Q(ens, 1)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -310,24 +360,17 @@ class TestEstimators:
         extra=st.integers(min_value=0, max_value=8),
         P=st.integers(min_value=2, max_value=5),
         seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
-        tau_max=st.integers(min_value=0, max_value=2),
     )
-    def test_finite_or_error(self, scheme, extra, P, seed, tau_max):
-        # an ensemble that covers what estimate_R needs, and sometimes what
-        # estimate_Q needs
+    def test_finite_or_error(self, scheme, extra, P, seed):
+        # an ensemble that covers what estimate_R needs
         try:
             ens = simulate_paths(scheme, (0, scheme.q + extra), P, seed)
         except DsiLabError:
             return
-        estimates = []
         try:
-            estimates += estimate_R(ens)
+            estimates = estimate_R(ens)
         except DsiLabError:
-            pass
-        try:
-            estimates.append(estimate_Q(ens, tau_max))
-        except DsiLabError:
-            pass
+            return
         for value, std_error in estimates:
             assert value.shape == std_error.shape
             assert np.isfinite(value).all() and np.isfinite(std_error).all()
@@ -340,24 +383,18 @@ class TestEstimators:
         seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
     )
     def test_estimators_agree_with_per_entry_moments(self, q, P, seed):
-        # Q(tau)[u, v] is the mean of W(tau*q + u) W(v) and its standard
-        # error, entry by entry; R0 and R1 are the same moments bit for bit
+        # R0 and R1 are the per-entry moments and standard errors of
+        # W(j) W(j) and W(j+1) W(j), bit for bit
         sch = random_scheme(np.random.default_rng(seed % 2 ** 32), q)
         ens = simulate_paths(sch, (0, 2 * q - 1), P, seed)
-        Q = estimate_Q(ens, 1)
-        for tau in range(2):
-            for u in range(q):
-                for v in range(q):
-                    products = ens.paths[:, tau * q + u] * ens.paths[:, v]
-                    assert Q.value[tau, u, v] == products.mean()
-                    assert Q.std_error[tau, u, v] == products.std(ddof=1) / math.sqrt(P)
+        value, std_error = block_moments(ens, 1)
         r0, r1 = estimate_R(ens)
         j = np.arange(q)
         # R0[j] = Q(0)[j, j]; R1[j] = Q(0)[j+1, j] for j < q-1, and the wrap
         # R1[q-1] = Q(1)[0, q-1]
         for R, index in ((r0, (0, j, j)), (r1, ((j == q - 1) * 1, (j + 1) % q, j))):
-            assert np.array_equal(R.value, Q.value[index])
-            assert np.array_equal(R.std_error, Q.std_error[index])
+            assert np.array_equal(R.value, value[index])
+            assert np.array_equal(R.std_error, std_error[index])
 
     def test_calibration_across_seeds(self):
         # z-scores of repeated small ensembles behave like standard normals:

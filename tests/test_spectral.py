@@ -1,5 +1,5 @@
-"""Spectral densities: series vs closed forms vs brute-force oracle,
-inversion round trips and interval masses."""
+"""Spectral densities: series vs closed forms vs brute-force oracle, and
+inversion round trips."""
 
 import math
 
@@ -23,7 +23,6 @@ from dsi_lab import (
     markov_covfn,
     model_from_sbm,
     sbm_covariance_exact,
-    spectral_distribution_interval,
     spectral_markov,
     spectral_sbm,
     spectral_series,
@@ -441,107 +440,6 @@ class TestInversion:
         ev = spectral_markov(model, uniform_grid(64))
         with pytest.raises(BadInterval):
             invert_spectrum(ev, canonical_scheme, [])
-
-
-class TestDistributionInterval:
-    @staticmethod
-    def _diag_coefficients(scheme, entry: int, n_lags: int) -> np.ndarray:
-        # stationary-side Fourier coefficients of the (entry, entry) density:
-        # B(tau) = (alpha**(tau T) s**2)**(-H) * Q[entry, entry](tau), even in tau
-        model = model_from_sbm(scheme)
-        s2 = scheme.s[entry] ** 2
-        pos = np.array(
-            [
-                (scheme.alpha ** (tau * scheme.T) * s2) ** (-scheme.H)
-                * covariance_V(model, 0, tau)[entry, entry]
-                for tau in range(n_lags + 1)
-            ]
-        )
-        return np.concatenate([pos[:0:-1], pos])
-
-    def test_full_circle_mass_is_lag_zero_coefficient(self, canonical_scheme):
-        b = self._diag_coefficients(canonical_scheme, 0, 120)
-        mass = spectral_distribution_interval(b, 0.0, TWO_PI)
-        assert mass.real == pytest.approx(b[120], rel=1e-12)
-        assert abs(mass.imag) < 1e-12
-
-    def test_subinterval_matches_density_quadrature(self, canonical_scheme):
-        b = self._diag_coefficients(canonical_scheme, 0, 160)
-        lo, hi = 0.7, 2.1
-        mass = spectral_distribution_interval(b, lo, hi)
-        grid = np.linspace(lo, hi, 20001)
-        dens = spectral_markov(
-            model_from_sbm(canonical_scheme), grid
-        ).matrices[:, 0, 0].real
-        quad = np.trapezoid(dens, grid)
-        assert mass.real == pytest.approx(quad, abs=1e-4)
-        assert abs(mass.imag) < 1e-10
-
-    def test_second_diagonal_entry(self, canonical_scheme):
-        b = self._diag_coefficients(canonical_scheme, 1, 160)
-        lo, hi = 0.0, 1.0
-        mass = spectral_distribution_interval(b, lo, hi)
-        grid = np.linspace(lo, hi, 20001)
-        dens = spectral_markov(
-            model_from_sbm(canonical_scheme), grid
-        ).matrices[:, 1, 1].real
-        assert mass.real == pytest.approx(np.trapezoid(dens, grid), abs=1e-4)
-
-    @pytest.mark.parametrize(
-        "lo,hi",
-        [(-0.1, 1.0), (0.0, TWO_PI + 0.1), (1.0, 1.0), (2.0, 1.0)],
-    )
-    def test_bad_interval(self, lo, hi):
-        b = np.array([0.5, 1.0, 0.5])
-        with pytest.raises(BadInterval):
-            spectral_distribution_interval(b, lo, hi)
-
-    def test_even_length_coefficients_rejected(self):
-        with pytest.raises(BadInterval):
-            spectral_distribution_interval(np.ones(4), 0.0, 1.0)
-
-    def test_non_finite_coefficients_rejected(self):
-        for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(BadInterval):
-                spectral_distribution_interval(np.array([0.5, bad, 0.5]), 0.0, 1.0)
-
-    def test_mass_near_double_range(self):
-        # each lag product B(tau) * kernel(tau), tau = -1 and 1, is 3.4e308,
-        # but the coefficients are divided by 2 pi first and the mass is a
-        # double: the lag terms cancel
-        mass = spectral_distribution_interval(np.full(3, 1.7e308), 0.0, math.pi)
-        assert mass == pytest.approx(8.5e307, rel=1e-15)
-
-    @pytest.mark.parametrize("N, mass", [(5, -1.66e308), (9, None)])
-    def test_odd_lag_mass_at_the_double_range(self, N, mass):
-        # B(tau) = sign(tau) * 1.7e308 at odd tau, 0 otherwise: on [0, pi)
-        # each pair of odd lags +-tau adds -2i * 1.7e308 / (pi tau), about
-        # -1.66e308i in all up to N = 5 and -1.93e308i up to N = 9, past the
-        # largest double
-        tau = np.arange(-N, N + 1)
-        b = np.where(tau % 2 == 1, np.sign(tau) * 1.7e308, 0.0)
-        if mass is None:
-            with pytest.raises(RangeOverflow):
-                spectral_distribution_interval(b, 0.0, math.pi)
-        else:
-            got = spectral_distribution_interval(b, 0.0, math.pi)
-            assert got.real == pytest.approx(0.0, abs=1e293)
-            assert got.imag == pytest.approx(mass, rel=1e-3)
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        b=st.integers(min_value=1, max_value=4).flatmap(
-            lambda n: st.lists(st.floats(), min_size=2 * n + 1, max_size=2 * n + 1)
-        ),
-        lo=st.floats(),
-        hi=st.floats(),
-    )
-    def test_finite_or_error(self, b, lo, hi):
-        try:
-            mass = spectral_distribution_interval(np.array(b), lo, hi)
-        except DsiLabError:
-            return
-        assert math.isfinite(mass.real) and math.isfinite(mass.imag)
 
 
 class TestFrequencyAndRangeGuards:
