@@ -42,7 +42,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import SamplingScheme, in_range, mirror_lower
+from .core import SamplingScheme, in_range, index_arrays, mirror_lower
 from .errors import (
     BadInterval,
     GridTooCoarse,
@@ -327,8 +327,10 @@ def invert_spectrum(
     """Recover block covariance matrices from a density on a uniform grid.
 
     The evaluation must sample omega_k = 2 pi k / M, k = 0..M-1, with
-    M >= 4 * max|tau| so the rectangle rule resolves the requested lags
-    (aliasing decays with the density's smoothness).  Returns
+    M >= 4 * max(max|tau|, 1) so the rectangle rule resolves the requested
+    lags (aliasing decays with the density's smoothness).  The lags are read
+    by ``core.index_arrays``, so a non-integral or non-finite one raises
+    BadIndex.  Returns
 
         Q(tau) = alpha**(tau T H) (s_u s_v)**H * (2 pi / M)
                  * sum_k e^{i omega_k tau} g(omega_k),
@@ -340,8 +342,9 @@ def invert_spectrum(
     --s 1,1e200`` fails at lag 4 (factor about e**1431), while
     ``dsi-lab covariance`` with the same flags writes values near 1e200.
     """
-    taus = tuple(int(t) for t in taus)
-    if not taus:
+    _, (tau_arr,) = index_arrays("invert_spectrum", scheme.T, taus=taus)
+    tau_arr = tau_arr.ravel()
+    if not tau_arr.size:
         raise BadInterval("need at least one lag to invert")
     M = evaluation.omegas.size
     expected = np.arange(M) * (_TWO_PI / M)
@@ -349,13 +352,13 @@ def invert_spectrum(
         raise GridTooCoarse(
             "inversion needs the uniform grid omega_k = 2*pi*k/M, k = 0..M-1"
         )
-    t_abs = max(abs(t) for t in taus)
-    if M < 4 * max(t_abs, 1):
+    t_abs = int(np.abs(tau_arr).max())
+    need = 4 * max(t_abs, 1)
+    if M < need:
         raise GridTooCoarse(
-            f"M = {M} frequency points cannot resolve lag {t_abs}; need M >= {4 * t_abs}"
+            f"M = {M} frequency points cannot resolve lag {t_abs}; need M >= {need}"
         )
 
-    tau_arr = np.array(taus)
     # log of the rescaling alpha**(tau T H) (s_u s_v)**H
     log_s = np.log(np.asarray(scheme.s, dtype=float))
     log_t = tau_arr * (scheme.T * math.log(scheme.alpha))
@@ -367,7 +370,7 @@ def invert_spectrum(
         * (_TWO_PI * np.fft.ifft(evaluation.matrices, axis=0)[tau_arr % M]),
     )
     return CovarianceRecovery(
-        taus=taus,
+        taus=tuple(tau_arr.tolist()),
         matrices=full.real.copy(),
         imag_residue=float(np.abs(full.imag).max()),
     )

@@ -1,6 +1,7 @@
 """Command line behavior: config handling, output schemas, exit codes."""
 
 import ast
+import ctypes
 import hashlib
 import math
 import os
@@ -292,6 +293,16 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: RangeOverflow: ")
         assert not out.exists()
 
+    def test_coarse_grid_names_the_bound_it_checks(self, tmp_path, capsys):
+        # lag 0 still needs four frequency points
+        out = tmp_path / "i.csv"
+        argv = ["invert", "--tau-max", "0", "--omega-points", "2", "--out", str(out)]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: GridTooCoarse: M = 2 frequency points cannot resolve lag 0; need M >= 4\n"
+        )
+        assert not out.exists()
+
     def test_help_lists_commands_and_flags(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
@@ -386,6 +397,92 @@ class TestIdleBlasWorkers:
                 OPENBLAS_NUM_THREADS="2", OPENBLAS_THREAD_TIMEOUT=timeout,
             )
             outputs.append([(out / name).read_bytes() for name in names])
+        assert outputs[0] == outputs[1]
+
+
+# the C library's malloc is glibc's, whose thresholds main sets
+ON_GLIBC = os.name == "posix" and hasattr(ctypes.CDLL(None), "gnu_get_libc_version")
+# what turns the heap policy off: any of these variables, here one that
+# sets glibc's default
+MALLOC_UNSET = dict.fromkeys(cli._MALLOC_ENVIRONMENT)
+POLICY_OFF = {**MALLOC_UNSET, "GLIBC_TUNABLES": "glibc.malloc.perturb=0"}
+
+# cli.main on a small table, then the minor page faults of five more float
+# kernel calls on one chunk of values, after one to fill its tables
+FAULTS_CHILD = """
+import resource, sys
+import numpy as np
+import dsi_lab.cli
+from dsi_lab import _floattext
+dsi_lab.cli.main(["covariance", "--out", sys.argv[1]])
+values = np.random.default_rng(0).standard_normal(dsi_lab.cli._CHUNK_VALUES)
+_floattext.text(values)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    _floattext.text(values)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+# cli.main with a C library whose mallopt records its calls, then the calls
+MALLOPT_CHILD = """
+import ctypes, sys
+import dsi_lab.cli
+calls = []
+
+class Library:
+    def __init__(self, name):
+        self.mallopt = lambda *args: calls.append(args)
+
+ctypes.CDLL = Library
+dsi_lab.cli.main(sys.argv[1:])
+print(repr(calls))
+"""
+
+# cli.main on argv[2:] with argv[1] usable CPUs
+CPUS_CHILD = """
+import os, sys, dsi_lab.cli
+cpus = int(sys.argv[1])
+os.sched_getaffinity = lambda pid: set(range(cpus))
+sys.exit(dsi_lab.cli.main(sys.argv[2:]))
+"""
+
+
+class TestFreedHeap:
+    @pytest.mark.skipif(not ON_GLIBC, reason="needs glibc's malloc")
+    def test_chunks_reuse_freed_heap(self, tmp_path):
+        # about 7,000 faults with glibc's dynamic thresholds
+        out = run_python(FAULTS_CHILD, str(tmp_path / "c.csv"), **MALLOC_UNSET)
+        assert int(out.splitlines()[-1]) <= 100
+
+    @pytest.mark.parametrize(
+        "env, calls",
+        [
+            (MALLOC_UNSET, [(-3, 32 << 20), (-1, 64 << 20)]),
+            ({**MALLOC_UNSET, "MALLOC_TRIM_THRESHOLD_": "131072"}, []),
+            ({**MALLOC_UNSET, "MALLOC_MMAP_THRESHOLD_": "131072"}, []),
+            ({**MALLOC_UNSET, "GLIBC_TUNABLES": "glibc.malloc.trim_threshold=131072"}, []),
+        ],
+        ids=["default", "trim_threshold", "mmap_threshold", "tunables"],
+    )
+    def test_user_setting_wins(self, tmp_path, env, calls):
+        out = run_python(MALLOPT_CHILD, "covariance", "--out", str(tmp_path / "c.csv"), **env)
+        assert ast.literal_eval(out.splitlines()[-1]) == calls
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--paths", "20000", "--tau-max", "4"],
+            ["spectrum", "--omega-points", "16384"],
+        ],
+        ids=["simulate", "spectrum"],
+    )
+    def test_bytes_do_not_depend_on_the_policy(self, tmp_path, argv, cpus):
+        outputs = []
+        for name, env in (("on", MALLOC_UNSET), ("off", POLICY_OFF)):
+            out = tmp_path / f"{name}.csv"
+            run_python(CPUS_CHILD, str(cpus), *argv, "--out", str(out), **env)
+            outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
 

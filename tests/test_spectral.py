@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsi_lab import (
+    BadIndex,
     BadInterval,
     DsiLabError,
     GridTooCoarse,
@@ -440,6 +441,21 @@ class TestInversion:
         ev = spectral_markov(model, uniform_grid(64))
         with pytest.raises(BadInterval):
             invert_spectrum(ev, canonical_scheme, [])
+
+    @pytest.mark.parametrize("tau", [1.5, math.nan], ids=["fraction", "nan"])
+    def test_non_integral_lags_rejected(self, canonical_scheme, tau):
+        # read by the one index rule, not truncated by int()
+        model = model_from_sbm(canonical_scheme)
+        ev = spectral_markov(model, uniform_grid(64))
+        with pytest.raises(BadIndex):
+            invert_spectrum(ev, canonical_scheme, [tau])
+
+    def test_lags_come_back_as_python_ints(self, canonical_scheme):
+        model = model_from_sbm(canonical_scheme)
+        ev = spectral_markov(model, uniform_grid(64))
+        taus = invert_spectrum(ev, canonical_scheme, [0, 2.0, np.int64(3)]).taus
+        assert taus == (0, 2, 3)
+        assert all(type(tau) is int for tau in taus)
 
 
 class TestFrequencyAndRangeGuards:
