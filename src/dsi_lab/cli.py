@@ -42,6 +42,15 @@ worker makes no BLAS call: it formats text or computes elementwise
 forms, reductions and one ``numpy.fft`` (pocketfft) transform, so it never
 takes a lock a BLAS thread of the parent may hold.
 
+Worker placement: a worker starts on a usable CPU other than the one this
+process runs on, one CPU per worker while they last, and may then run on
+any CPU this process may use.  Linux forks a child onto its parent's CPU
+and leaves it there where no scheduler domain balances the CPUs (a cpuset
+with ``sched_load_balance`` 0, as in some containers).  There an unplaced
+worker shared one CPU with this process, and the two parts took about as
+long as the whole table in one process.  A worker stays where the kernel
+put it where the C library has no ``sched_getcpu`` or the move fails.
+
 Idle BLAS workers: where this module is what loads numpy (the console
 script, ``python -m dsi_lab.cli``, a driver that imports it first), it
 defaults ``OPENBLAS_THREAD_TIMEOUT`` to 4, the least exponent OpenBLAS
@@ -270,6 +279,22 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _worker_cpus(n: int) -> list[int | None]:
+    """CPUs to start ``n`` forked workers on, None where none is left.
+
+    See "Worker placement" above.
+    """
+    here = -1
+    if n and hasattr(os, "sched_setaffinity"):
+        # numpy has already imported ctypes
+        import ctypes
+
+        getcpu = getattr(ctypes.CDLL(None), "sched_getcpu", None)
+        here = -1 if getcpu is None else getcpu()
+    others = sorted(os.sched_getaffinity(0) - {here}) if here >= 0 else []
+    return (others + [None] * n)[:n]
+
+
 def _format_blocks(keys, prefixes: list[str], flat, lo: int, hi: int):
     """Yield the encoded rows of blocks lo..hi-1, about _CHUNK_VALUES values at a time.
 
@@ -309,15 +334,16 @@ def _format_blocks(keys, prefixes: list[str], flat, lo: int, hi: int):
         yield chunk[chunk != 0].tobytes()
 
 
-def _fork_part(chunks, open_pipes: list[BinaryIO]) -> tuple[int, BinaryIO]:
+def _fork_part(chunks, open_pipes: list[BinaryIO], cpu: int | None) -> tuple[int, BinaryIO]:
     """Fork a worker that writes ``chunks`` to a pipe; return (pid, read end).
 
     ``chunks`` is an iterable of bytes, run in the worker: a part of a CSV
-    table, or ``verify``'s spectral half.  The worker holds its whole output
-    in memory, because the parent reads the pipe only after its own work,
-    and ends with ``os._exit``: it never returns into the caller, runs no
-    ``atexit`` hooks and flushes no stdio.  Why the fork is safe is stated
-    once, under "Fork safety" in this module's docstring.
+    table, or ``verify``'s spectral half.  The worker first moves to
+    ``cpu`` unless it is None (one of ``_worker_cpus``).  It holds its whole
+    output in memory, because the parent reads the pipe only after its own
+    work, and ends with ``os._exit``: it never returns into the caller, runs
+    no ``atexit`` hooks and flushes no stdio.  Why the fork is safe is
+    stated once, under "Fork safety" in this module's docstring.
     """
     r, w = os.pipe()
     try:
@@ -330,6 +356,14 @@ def _fork_part(chunks, open_pipes: list[BinaryIO]) -> tuple[int, BinaryIO]:
         # the worker must not outlive this block, whatever it raises
         status = 1
         try:
+            if cpu is not None:
+                allowed = os.sched_getaffinity(0)
+                try:
+                    # the first call moves this process, the second frees it
+                    os.sched_setaffinity(0, {cpu})
+                    os.sched_setaffinity(0, allowed)
+                except OSError:
+                    pass
             os.close(r)
             for pipe in open_pipes:
                 pipe.close()
@@ -395,9 +429,10 @@ def _write_blocks(path: str, header: str, keys, prefixes: list[str], values) -> 
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
         with _reaped("CSV") as workers:
-            for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            cpus = _worker_cpus(n_parts - 1)
+            for lo, hi, cpu in zip(bounds[1:-1], bounds[2:], cpus):
                 chunks = _format_blocks(keys, prefixes, flat, lo, hi)
-                workers.append(_fork_part(chunks, [pipe for _, pipe in workers]))
+                workers.append(_fork_part(chunks, [pipe for _, pipe in workers], cpu))
             fh.writelines(_format_blocks(keys, prefixes, flat, 0, bounds[1]))
             for _, pipe in workers:
                 shutil.copyfileobj(pipe, fh)
@@ -588,7 +623,7 @@ def _verify_checks(cfg: RunConfig):
     spectral_half = _pickled_spectral_half(cfg)
     with _reaped("verify") as workers:
         if _usable_cpus() > 1:
-            workers.append(_fork_part(spectral_half, []))
+            workers.append(_fork_part(spectral_half, [], _worker_cpus(1)[0]))
         else:
             spectral_half = [b"".join(spectral_half)]
         # held until the spectral half's outcome is read

@@ -6,6 +6,7 @@ import hashlib
 import math
 import os
 import signal
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -852,6 +853,70 @@ class TestParallelWriter:
         err = capsys.readouterr().err
         assert err.startswith("error: I/O failure") and "2 of 2 CSV workers failed" in err
         assert_no_child()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="workers are placed by affinity")
+class TestWorkerPlacement:
+    @pytest.mark.parametrize(
+        "here, n, want",
+        [(2, 3, [0, 1, 3]), (2, 5, [0, 1, 3, None, None]), (0, 1, [1]), (3, 0, [])],
+    )
+    def test_workers_start_off_this_cpu(self, monkeypatch, here, n, want):
+        set_cpus(monkeypatch, 4)
+        libc = SimpleNamespace(sched_getcpu=lambda: here)
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+        assert cli._worker_cpus(n) == want
+
+    @pytest.mark.parametrize(
+        "libc",
+        [SimpleNamespace(), SimpleNamespace(sched_getcpu=lambda: -1)],
+        ids=["absent", "failing"],
+    )
+    def test_unknown_cpu_places_nothing(self, monkeypatch, libc):
+        set_cpus(monkeypatch, 4)
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+        assert cli._worker_cpus(2) == [None, None]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["spectrum", "--omega-points", "16384"], ["verify", "--paths", "2000"]],
+        ids=["csv", "verify"],
+    )
+    def test_worker_moves_then_is_freed(self, tmp_path, monkeypatch, argv):
+        # the worker's own calls, logged to a file because they run in the fork
+        allowed = os.sched_getaffinity(0)
+        if len(allowed) < 2:
+            pytest.skip("one usable CPU: nothing forks")
+        log = tmp_path / "moves"
+        set_affinity = os.sched_setaffinity
+
+        def record(pid, cpus):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {sorted(cpus)}\n")
+            set_affinity(pid, cpus)
+
+        monkeypatch.setattr(os, "sched_setaffinity", record)
+        assert run(argv + ["--out", str(tmp_path / "t.csv")]) == 0
+        assert_no_child()
+        calls = [line.split(" ", 1) for line in log.read_text().splitlines()]
+        assert len(calls) == 2 and calls[0][0] == calls[1][0] != str(os.getpid())
+        first, second = (ast.literal_eval(cpus) for _, cpus in calls)
+        assert len(first) == 1 and first[0] in allowed
+        assert second == sorted(allowed)
+
+    def test_failed_move_keeps_the_bytes(self, tmp_path, monkeypatch):
+        def refuse(pid, cpus):
+            raise OSError(22, "Invalid argument")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(sched_getcpu=lambda: 0))
+        set_cpus(monkeypatch, 2)
+        out = tmp_path / "t.csv"
+        assert run(["spectrum", "--omega-points", "16384", "--out", str(out)]) == 0
+        assert_no_child()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "333290e187d46ff7c752b1e18645843ec0b96f02b1d680292ff70a37f33ed988"
+        )
 
 
 class TestVerify:
