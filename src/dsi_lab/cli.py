@@ -12,8 +12,8 @@ before or after it (``dsi-lab --help`` lists the commands):
 
 Every setting is one row of ``_SETTINGS``: parser, default and flag help.
 A value comes from an optional ``key=value`` file (one pair per line, ``#``
-comments allowed) or from its flag, which wins; ``q``, ``R0`` and ``R1``
-have no flag.  Each value is parsed once, and a malformed one from either
+comments allowed) or from its flag, which wins; ``R0`` and ``R1`` have
+no flag.  Each value is parsed once, and a malformed one from either
 place is a ConfigError.  Every table, ``verify``'s report and estimates
 included, is formatted block by block (one block per path, tau, omega,
 check or offset) by one formatter: the rows of a chunk are one uint8
@@ -98,7 +98,7 @@ if "numpy" not in sys.modules:
 import numpy as np
 
 from . import _floattext
-from .core import SamplingScheme, powers, validate_scheme
+from .core import SamplingScheme, powers
 from .errors import ConfigError, DsiLabError, ModelUnstable
 from .lamperti import StationaryGrid, inverse_quasi_lamperti, quasi_lamperti
 from .markov_cov import (
@@ -146,7 +146,6 @@ _SETTINGS = {
     "H": (float, 1.0, "self-similarity index, > 0"),
     "alpha": (float, 2.0, "scale base, > 1"),
     "T": (int, 1, "cycle width, integer >= 1"),
-    "q": (int, None, None),
     "s": (_floats, (1.0, 1.5), "comma-separated offsets, e.g. 1,1.5"),
     "R0": (_floats, None, None),
     "R1": (_floats, None, None),
@@ -154,7 +153,7 @@ _SETTINGS = {
     "seed": (int, 42, "ensemble seed (64-bit unsigned)"),
     "tau_max": (int, 4, "largest block lag"),
     "omega_points": (int, 256, "frequency grid size"),
-    "tol": (float, 1e-10, "series truncation tolerance"),
+    "tol": (float, 1e-10, "series tolerance of verify only, used as min(tol, 1e-10)"),
     "out": (str, None, "output file path"),
 }
 
@@ -212,9 +211,7 @@ def build_config(command: str, args: argparse.Namespace) -> RunConfig:
         if values[key] == ():
             raise ConfigError(f"{key} must list at least one value, got {text!r}")
 
-    if values["q"] is not None and values["q"] != len(values["s"]):
-        raise ConfigError(f"q = {values['q']} does not match the {len(values['s'])} offsets in s")
-    scheme = validate_scheme(**{key: values.pop(key) for key in ("H", "alpha", "T", "s", "q")})
+    scheme = SamplingScheme(**{key: values.pop(key) for key in ("H", "alpha", "T", "s")})
 
     R0, R1 = values["R0"], values["R1"]
     if R0 is not None or R1 is not None:
@@ -225,11 +222,6 @@ def build_config(command: str, args: argparse.Namespace) -> RunConfig:
             )
         if R0 is None or R1 is None:
             raise ConfigError("R0 and R1 must be given together")
-        if len(R0) != scheme.q or len(R1) != scheme.q:
-            raise ConfigError(
-                f"R0 and R1 must each have q = {scheme.q} entries, "
-                f"got {len(R0)} and {len(R1)}"
-            )
 
     if values["paths"] < 1:
         raise ConfigError(f"paths must be >= 1, got {values['paths']}")

@@ -9,7 +9,8 @@ cycle ``[1, alpha**T)``.  Cycle ``n`` (any integer) contains the points
 
 enumerates all points in time order.  This module owns the index algebra
 (splitting kappa into the cycle/offset pair) and the physical
-time of each sample, plus validation of the scheme parameters.
+time of each sample, plus the scheme record, which reads and checks its
+own fields.
 :func:`sample_points` returns a whole index range as one
 :class:`SampleGrid` of parallel arrays ``(kappa, n, u, times)``.
 
@@ -27,7 +28,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -77,7 +78,7 @@ def powers(base: float, exponents) -> np.ndarray:
     return np.array([table[e] for e in flat], dtype=float).reshape(exponents.shape)
 
 
-def index_arrays(name: str, T: int, **indices) -> tuple[str, tuple[np.ndarray, ...]]:
+def index_arrays(name: str, T: int, /, **indices) -> tuple[str, tuple[np.ndarray, ...]]:
     """Return ``(what, arrays)``: ``name`` with each index's value or range,
     for one-line error messages, and the indices as broadcast int64 arrays.
 
@@ -137,7 +138,7 @@ def mirror_lower(matrices: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SamplingScheme:
-    """Validated sampling geometry.
+    """Validated sampling geometry, read once at construction.
 
     Attributes
     ----------
@@ -148,31 +149,40 @@ class SamplingScheme:
     T : int
         Cycle width in log-scale units, T >= 1.  One cycle spans a factor
         ``l = alpha**T`` in physical time.
-    q : int
-        Number of sampling offsets per cycle, q >= 1.
     s : tuple of float
-        Offsets, strictly increasing with 1 <= s[0] and s[-1] < alpha**T.
+        The q >= 1 offsets, strictly increasing with 1 <= s[0] and
+        s[-1] < alpha**T.
 
-    Construction raises RangeOverflow when the cycle factor alpha**T is
-    not a finite double.
+    Construction, :func:`dataclasses.replace` included, stores each field
+    normalized, so equal schemes compare and hash equal: H and alpha as
+    floats, T as an int by the integral rule of :func:`index_arrays` (1.5
+    is refused) and s as a tuple of floats.  It raises BadIndex, BadBase,
+    NonIncreasingOffsets or OffsetOutOfRange on the first violated
+    requirement, BadIndex for a value that is not a number, and
+    RangeOverflow when the cycle factor alpha**T is not a finite double.
     """
 
     H: float
     alpha: float
     T: int
-    q: int
     s: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.T, int) and self.T >= 1):
+        _, (T,) = index_arrays("SamplingScheme", 1, T=self.T)
+        if T.ndim or not T >= 1:
             raise BadIndex(f"T must be an integer >= 1, got {self.T!r}")
-        if not (isinstance(self.q, int) and self.q >= 1):
-            raise BadIndex(f"q must be an integer >= 1, got {self.q!r}")
-        check_index_and_base(self.H, self.alpha)
-        if len(self.s) != self.q:
+        try:
+            H, alpha, s = float(self.H), float(self.alpha), np.asarray(self.s, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            s = None
+        if s is None or s.ndim != 1 or not s.size:
             raise BadIndex(
-                f"offset count {len(self.s)} does not match q = {self.q}"
+                "H and alpha must be numbers and s a non-empty sequence of them, got "
+                f"H = {self.H!r}, alpha = {self.alpha!r}, s = {self.s!r}"
             )
+        for name, value in (("H", H), ("alpha", alpha), ("T", T.item()), ("s", tuple(s.tolist()))):
+            object.__setattr__(self, name, value)
+        check_index_and_base(self.H, self.alpha)
         for a, b in zip(self.s, self.s[1:]):
             if not (b > a):
                 raise NonIncreasingOffsets(
@@ -190,28 +200,18 @@ class SamplingScheme:
             )
 
     @property
+    def q(self) -> int:
+        """Number of sampling offsets per cycle, ``len(s)``."""
+        return len(self.s)
+
+    @property
     def scale(self) -> float:
         """Cycle scale factor l = alpha**T."""
         return self.alpha ** self.T
 
 
-def validate_scheme(
-    H: float,
-    alpha: float,
-    T: int,
-    s: Sequence[float],
-    q: int | None = None,
-) -> SamplingScheme:
-    """Build a :class:`SamplingScheme` from raw values.
-
-    ``q`` defaults to ``len(s)``; if given explicitly it must match.
-    Raises BadIndex, BadBase, NonIncreasingOffsets or OffsetOutOfRange on
-    the first violated requirement.
-    """
-    offsets = tuple(float(x) for x in s)
-    if q is None:
-        q = len(offsets)
-    return SamplingScheme(H=float(H), alpha=float(alpha), T=int(T), q=int(q), s=offsets)
+# the scheme constructor under the name the package has always exported
+validate_scheme = SamplingScheme
 
 
 def split_index(kappa: int, q: int) -> tuple[int, int]:
@@ -267,12 +267,15 @@ def sample_points(scheme: SamplingScheme, kappa_min: int, kappa_max: int) -> Sam
 
     Times strictly increase with kappa, and one full cycle advances time by
     exactly the cycle factor: t(kappa + q) = alpha**T * t(kappa).  The times
-    are those :func:`sample_time` returns for the index range.
+    are those :func:`sample_time` returns for the index range.  A bound that
+    is not integral (see :func:`index_arrays`), or an empty range, is a BadIndex.
     """
+    _, (ends,) = index_arrays("sample_points", scheme.T, kappa=(kappa_min, kappa_max))
+    kappa_min, kappa_max = ends.tolist()
     if kappa_max < kappa_min:
         raise BadIndex(f"empty index range [{kappa_min}, {kappa_max}]")
     # times increase with kappa, so the end samples bound every time
-    sample_time(scheme, (kappa_min, kappa_max))
+    sample_time(scheme, ends)
     kappa = np.arange(kappa_min, kappa_max + 1)
     n, u = np.divmod(kappa, scheme.q)
     return SampleGrid(kappa=kappa, n=n, u=u, times=sample_time(scheme, kappa))

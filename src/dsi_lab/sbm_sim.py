@@ -114,9 +114,9 @@ def simulate_paths(
     scheme : SamplingScheme
         Sampling geometry.
     kappa_range : (int, int)
-        Inclusive flat index range; the lower end must be >= 0.
+        Inclusive flat index range of integral values, the lower end >= 0.
     P : int
-        Number of paths, P >= 1.
+        Number of paths, an integral value >= 1.
     seed : int
         64-bit ensemble seed, an integral value in [0, 2**64).  Paths
         come in blocks of 4096; block b draws from one Philox stream,
@@ -133,14 +133,13 @@ def simulate_paths(
     RangeOverflow
         If a band factor or path value leaves double range.
     """
-    kappa_min, kappa_max = int(kappa_range[0]), int(kappa_range[1])
+    kappa_min, kappa_max = kappa_range
     if kappa_min < 0:
         raise NegativeKappa(f"kappa range must start at >= 0, got {kappa_min}")
-    if kappa_max < kappa_min:
-        raise BadIndex(f"empty index range [{kappa_min}, {kappa_max}]")
+    _, (P,) = index_arrays("simulate_paths", 1, P=P)
     if P < 1:
         raise RangeTooSmall(f"need at least one path, got P = {P}")
-    seed = _seed_value(seed)
+    P, seed = P.item(), _seed_value(seed)
 
     grid = sample_points(scheme, kappa_min, kappa_max)
     K = grid.times.size

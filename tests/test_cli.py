@@ -88,7 +88,6 @@ class TestConfigHandling:
             "H = 1.0\n"
             "alpha = 2.0\n"
             "T = 1\n"
-            "q = 2\n"
             "s = 1.0,1.5\n"
             "tau_max = 2\n"
             f"out = {out}\n"
@@ -146,9 +145,11 @@ class TestConfigHandling:
         assert "duplicate" in capsys.readouterr().err
 
     def test_q_mismatch_rejected(self, tmp_path, capsys):
+        # q is len(s), so a file cannot set it
         cfg = tmp_path / "q.cfg"
         cfg.write_text("q = 3\ns = 1.0,1.5\n")
         assert run(["covariance", "--config", str(cfg)]) == 2
+        assert "unknown key 'q'" in capsys.readouterr().err
 
     def test_model_keys_must_come_together(self, tmp_path, capsys):
         cfg = tmp_path / "half.cfg"
@@ -252,6 +253,15 @@ class TestExitCodes:
         cfg.write_text("R0 = 1.0,1.0\nR1 = 1.1,0.5\n")
         assert run(["spectrum", "--config", str(cfg),
                     "--out", str(tmp_path / "s.csv")]) == 2
+
+    def test_model_length_exit_two(self, tmp_path, capsys):
+        # the model, not the CLI, checks that R0 and R1 have q = len(s) entries
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text("R0 = 1.0,1.0,1.0\nR1 = 0.5,0.5,0.5\n")
+        out = tmp_path / "c.csv"
+        assert run(["covariance", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: InvalidModel: ")
+        assert not out.exists()
 
     def test_covariance_overflow_exit_two(self, tmp_path, capsys):
         # ftilde(q-1)**tau leaves double range long before tau = 100000
@@ -975,8 +985,14 @@ class TestVerify:
                 "518fe52f51ba3697d322f0ad3e3b6485b6cf185c67cfe564096c2a173d82ba66",
                 "a7ab55163ea53db2c1aca910c9cf21b742dabfc749475bcc51ef4c6ac04924f0",
             ),
+            # verify caps tol at 1e-10, so a larger one writes the canonical bytes
+            (
+                ["--tol", "1e-3"],
+                "595b0e96b93d5e4a5bed5356d2de63382965b700ecf2816af9f83d54ffacc28f",
+                "b2b35aef8e877bdb8a2fa81b17f7bf5e1d8027f21a4a2e5061e95987f33629be",
+            ),
         ],
-        ids=["canonical", "q3"],
+        ids=["canonical", "q3", "tol1e-3"],
     )
     @pytest.mark.parametrize("cpus", [None, 1, 2, 3], ids=lambda n: f"cpus{n}")
     def test_verify_bytes_pinned(

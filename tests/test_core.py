@@ -1,5 +1,6 @@
 """Index algebra, scheme validation and sample time geometry."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from dsi_lab import (
     NonIncreasingOffsets,
     OffsetOutOfRange,
     RangeOverflow,
+    SamplingScheme,
     sample_points,
     sample_time,
     split_index,
@@ -121,9 +123,25 @@ class TestValidateScheme:
         sch = validate_scheme(H=0.5, alpha=1.5, T=2, s=(1.2,))
         assert sch.q == 1
 
-    def test_explicit_q_must_match(self):
-        with pytest.raises(BadIndex):
+    def test_one_constructor_derives_q(self):
+        # q is len(s), not a field, and validate_scheme is the constructor
+        assert [f.name for f in dataclasses.fields(SamplingScheme)] == ["H", "alpha", "T", "s"]
+        sch = SamplingScheme(1.0, 2.0, 1, (1.0, 1.2, 1.5))
+        assert sch.q == len(sch.s) == 3
+        assert validate_scheme is SamplingScheme
+        with pytest.raises(TypeError):
             validate_scheme(H=1.0, alpha=2.0, T=1, s=(1.0, 1.5), q=3)
+
+    def test_fields_are_normalized(self, canonical_scheme):
+        sch = SamplingScheme(H=1, alpha=2, T=1, s=[1, 1.5])
+        assert sch == canonical_scheme
+        assert type(sch.s) is tuple and type(sch.T) is int and type(sch.H) is float
+        assert hash(sch) == hash(canonical_scheme)
+        assert validate_scheme(H=1.0, alpha=2.0, T=2.0, s=(1.0, 1.5)).T == 2
+
+    def test_replace_checks_again(self, canonical_scheme):
+        with pytest.raises(BadIndex):
+            dataclasses.replace(canonical_scheme, H=-1)
 
     @pytest.mark.parametrize("s", [(1.0, 1.0), (1.5, 1.0), (1.0, 1.2, 1.1)])
     def test_non_increasing_offsets(self, s):
@@ -149,6 +167,12 @@ class TestValidateScheme:
             dict(H=math.nan),
             dict(T=0),
             dict(T=-1),
+            # read, not truncated (T = 1.5 was T = 1) or a raw ValueError
+            dict(T=1.5),
+            dict(H="x"),
+            dict(s=(1, "y")),
+            dict(s=5.0),
+            dict(s=()),
         ],
     )
     def test_bad_structural_parameters(self, kwargs):

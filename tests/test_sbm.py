@@ -248,6 +248,14 @@ class TestSimulation:
             simulate_paths(canonical_scheme, (0, 5), 4, -1)
         with pytest.raises(BadIndex):
             simulate_paths(canonical_scheme, (0, 5), 4, 2 ** 64)
+        # read, not truncated: (0, 3.7) was kappa 0..3 and (0.5, 3) started at 0
+        for kappa_range, P in (((0, 3.7), 4), ((0.5, 3), 4), ((0, 3), 2.5)):
+            with pytest.raises(BadIndex):
+                simulate_paths(canonical_scheme, kappa_range, P, 0)
+        # integral floats count as their values
+        ens = simulate_paths(canonical_scheme, (0.0, 3.0), 4.0, 0)
+        assert ens.grid.kappa.dtype.kind == "i" and ens.grid.kappa.tolist() == [0, 1, 2, 3]
+        assert np.array_equal(ens.paths, simulate_paths(canonical_scheme, (0, 3), 4, 0).paths)
 
     def test_matches_freshly_built_streams(self):
         # block b of 4096 paths is one fresh Philox keyed by (seed, b), its
