@@ -240,9 +240,7 @@ def build_config(command: str, args: argparse.Namespace) -> RunConfig:
 
 def _build_model(cfg: RunConfig) -> MarkovCovarianceModel:
     if cfg.R0 is not None:
-        return MarkovCovarianceModel(
-            scheme=cfg.scheme, R0=np.array(cfg.R0), R1=np.array(cfg.R1)
-        )
+        return MarkovCovarianceModel(scheme=cfg.scheme, R0=cfg.R0, R1=cfg.R1)
     return model_from_sbm(cfg.scheme)
 
 

@@ -20,12 +20,16 @@ kappa = -1 with q = 3 lives in cycle n = -1 at offset u = 2.
 Overflow policy, for the whole package: each closed form that can leave
 double range is evaluated once, as the code computes it, through one
 guard, :func:`in_range`, which raises RangeOverflow unless every value it
-returns is finite.
+returns is finite.  Reading policy: every numeric argument is read by
+:func:`read_numbers` (an index through :func:`index_arrays`), so what is not
+a number, a complex value where a real one is wanted included, raises a
+DsiLabError and is never truncated.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
@@ -78,25 +82,46 @@ def powers(base: float, exponents) -> np.ndarray:
     return np.array([table[e] for e in flat], dtype=float).reshape(exponents.shape)
 
 
+def read_numbers(name: str, value, error: type, dtype: type = float) -> np.ndarray:
+    """``value`` as a float64 array, complex128 for ``dtype=complex``, not
+    copied where it already is one.  What is not a number (a string, None, a
+    ragged list, a complex value where ``dtype`` is real) raises ``error``,
+    an integer past double range RangeOverflow; domain checks stay with the
+    caller."""
+    number, kinds = (numbers.Complex, "biufc") if dtype is complex else (numbers.Real, "biuf")
+    try:
+        array = np.asarray(value)
+    except (TypeError, ValueError):  # a ragged list, say
+        array = np.asarray(None)
+    # an object array holds integers past int64, or None (cast to NaN) and such
+    kind = array.dtype.kind
+    if not (kind in kinds or kind == "O" and all(isinstance(v, number) for v in array.flat)):
+        raise error(f"{name} must hold {number.__name__.lower()} numbers")
+    try:
+        return array.astype(dtype, copy=False)
+    except OverflowError:
+        raise RangeOverflow(f"{name} is outside double precision range")
+
+
 def index_arrays(name: str, T: int, /, **indices) -> tuple[str, tuple[np.ndarray, ...]]:
     """Return ``(what, arrays)``: ``name`` with each index's value or range,
     for one-line error messages, and the indices as broadcast int64 arrays.
 
-    A non-integral entry (an integral float counts as its value) or shapes
-    that do not broadcast raise BadIndex.  An entry k with |k| * T >= 2**61
-    raises RangeOverflow, even where its value would be a double, so that
-    sums of two indices and twice their cycle products n*T stay in int64.
+    An entry that is not a number or not integral (an integral float counts
+    as its value) or shapes that do not broadcast raise BadIndex.  An entry
+    k with |k| * T >= 2**61 raises RangeOverflow, even where its value would
+    be a double, so that sums of indices and twice n*T stay in int64.
     """
     limit = -(-(2 ** 61) // T)
     arrays, spans = [], []
     for key, value in indices.items():
-        index = np.asarray(value)
-        if index.dtype.kind not in "iu":
-            # floats, and Python integers past int64 (an object array)
-            try:
-                index = index.astype(float)
-            except (TypeError, ValueError):
-                raise BadIndex(f"{name}: {key} must hold integers")
+        try:
+            index = np.asarray(value)
+        except (TypeError, ValueError):
+            index = value  # a ragged list, say, which the reader refuses
+        if not (isinstance(index, np.ndarray) and index.dtype.kind in "iu"):
+            # floats, Python integers past int64, and what is not a number
+            index = read_numbers(f"{name}: {key}", index, BadIndex)
             if not (np.isfinite(index) & (index == np.floor(index))).all():
                 raise BadIndex(f"{name}: {key} must hold integers")
         if index.ndim:
@@ -115,13 +140,15 @@ def index_arrays(name: str, T: int, /, **indices) -> tuple[str, tuple[np.ndarray
         raise BadIndex(f"{name}: index shapes do not broadcast together")
 
 
-def check_index_and_base(H: float, alpha: float) -> None:
-    """Raise BadIndex unless H is finite and > 0, then BadBase unless alpha
-    is finite and > 1: the domain of every scheme and frame change."""
-    if not (H > 0.0 and math.isfinite(H)):
+def check_index_and_base(H, alpha) -> tuple[float, float]:
+    """H and alpha as floats: BadIndex unless H is one finite number > 0, then
+    BadBase unless alpha is one > 1; the domain of every frame change."""
+    h, a = read_numbers("H", H, BadIndex), read_numbers("alpha", alpha, BadIndex)
+    if h.ndim or not (h > 0.0 and np.isfinite(h)):
         raise BadIndex(f"H must be finite and > 0, got {H!r}")
-    if not (alpha > 1.0 and math.isfinite(alpha)):
+    if a.ndim or not (a > 1.0 and np.isfinite(a)):
         raise BadBase(f"alpha must be finite and > 1, got {alpha!r}")
+    return h.item(), a.item()
 
 
 def mirror_lower(matrices: np.ndarray) -> np.ndarray:
@@ -171,18 +198,12 @@ class SamplingScheme:
         _, (T,) = index_arrays("SamplingScheme", 1, T=self.T)
         if T.ndim or not T >= 1:
             raise BadIndex(f"T must be an integer >= 1, got {self.T!r}")
-        try:
-            H, alpha, s = float(self.H), float(self.alpha), np.asarray(self.s, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            s = None
-        if s is None or s.ndim != 1 or not s.size:
-            raise BadIndex(
-                "H and alpha must be numbers and s a non-empty sequence of them, got "
-                f"H = {self.H!r}, alpha = {self.alpha!r}, s = {self.s!r}"
-            )
+        s = read_numbers("s", self.s, BadIndex)
+        if s.ndim != 1 or not s.size:
+            raise BadIndex(f"s must be a non-empty sequence of numbers, got shape {s.shape}")
+        H, alpha = check_index_and_base(self.H, self.alpha)
         for name, value in (("H", H), ("alpha", alpha), ("T", T.item()), ("s", tuple(s.tolist()))):
             object.__setattr__(self, name, value)
-        check_index_and_base(self.H, self.alpha)
         for a, b in zip(self.s, self.s[1:]):
             if not (b > a):
                 raise NonIncreasingOffsets(
@@ -222,11 +243,10 @@ def split_index(kappa: int, q: int) -> tuple[int, int]:
     by :func:`index_arrays`: a non-integral one raises BadIndex (an integral
     float counts as its value) and one with |k| >= 2**61 RangeOverflow.
     """
-    _, (kappa, q) = index_arrays("split_index", 1, kappa=kappa, q=q)
-    kappa, q = kappa.item(), q.item()
-    if q < 1:
-        raise BadIndex(f"q must be >= 1, got {q}")
-    return divmod(kappa, q)
+    what, (kappa, q) = index_arrays("split_index", 1, kappa=kappa, q=q)
+    if kappa.ndim or q.ndim or q < 1:
+        raise BadIndex(f"{what}: needs one kappa and one q >= 1")
+    return divmod(kappa.item(), q.item())
 
 
 class SampleGrid(NamedTuple):

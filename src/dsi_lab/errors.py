@@ -15,7 +15,8 @@ class BadBase(DsiLabError):
 
 
 class BadIndex(DsiLabError):
-    """A structural parameter (H, T, q) or a sample index is outside its domain."""
+    """A structural parameter (H, T, s) or a sample index is outside its
+    domain, or a value that is not a real number."""
 
 
 class NonIncreasingOffsets(DsiLabError):
@@ -61,8 +62,8 @@ class RangeTooSmall(DsiLabError):
 
 
 class BadInterval(DsiLabError):
-    """A spectral input is malformed: a frequency that is not finite, a
-    density or ``covfn(0)`` of the wrong shape, or an empty list of lags."""
+    """A spectral input is malformed: a frequency that is not a finite
+    number, a density or ``covfn(0)`` of the wrong shape, or no lags."""
 
 
 class ConfigError(DsiLabError):

@@ -19,15 +19,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TINY, check_index_and_base, in_range
+from .core import TINY, check_index_and_base, in_range, read_numbers
 from .errors import BadIndex, NonPositivePoint, RangeOverflow
 
 
-def _as_float_vector(x, name: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != 1:
-        raise BadIndex(f"{name} must be one-dimensional, got shape {arr.shape}")
-    return arr
+def _read_samples(grid, axis: str) -> np.ndarray:
+    # store the axis and values as vectors of one length, the axis increasing
+    x, values = (read_numbers(name, getattr(grid, name), BadIndex) for name in (axis, "values"))
+    if x.ndim != 1 or x.shape != values.shape:
+        raise BadIndex(f"need equal-length vectors {axis}, values; got {x.shape}, {values.shape}")
+    if np.any(np.diff(x) <= 0):
+        raise BadIndex(f"{axis} must be strictly increasing")
+    object.__setattr__(grid, axis, x)
+    object.__setattr__(grid, "values", values)
+    return x
 
 
 @dataclass(frozen=True)
@@ -42,16 +47,7 @@ class StationaryGrid:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        times = _as_float_vector(self.times, "times")
-        values = _as_float_vector(self.values, "values")
-        if times.shape != values.shape:
-            raise BadIndex(
-                f"times and values differ in length: {times.shape} vs {values.shape}"
-            )
-        if times.size and np.any(np.diff(times) <= 0):
-            raise BadIndex("times must be strictly increasing")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
+        _read_samples(self, "times")
 
 
 @dataclass(frozen=True)
@@ -65,18 +61,9 @@ class SelfSimilarGrid:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        points = _as_float_vector(self.points, "points")
-        values = _as_float_vector(self.values, "values")
-        if points.shape != values.shape:
-            raise BadIndex(
-                f"points and values differ in length: {points.shape} vs {values.shape}"
-            )
+        points = _read_samples(self, "points")
         if points.size and points[0] <= 0.0:
             raise NonPositivePoint(f"points must be > 0, got {points[0]!r}")
-        if points.size and np.any(np.diff(points) <= 0):
-            raise BadIndex("points must be strictly increasing")
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "values", values)
 
 
 def quasi_lamperti(y: StationaryGrid, H: float, alpha: float) -> SelfSimilarGrid:
@@ -89,7 +76,7 @@ def quasi_lamperti(y: StationaryGrid, H: float, alpha: float) -> SelfSimilarGrid
     leaves the double-precision range, or if the smallest point or its
     envelope flushes towards zero.
     """
-    check_index_and_base(H, alpha)
+    H, alpha = check_index_and_base(H, alpha)
 
     def transform():
         points = alpha ** y.times
@@ -112,7 +99,7 @@ def inverse_quasi_lamperti(x: SelfSimilarGrid, H: float, alpha: float) -> Statio
     rescaled value leaves the double-precision range, as it does for tiny
     points.
     """
-    check_index_and_base(H, alpha)
+    H, alpha = check_index_and_base(H, alpha)
     times, values = in_range(
         "log_alpha(points) and points**(-H) * values",
         lambda: (np.log(x.points) / math.log(alpha), x.points ** (-H) * x.values),

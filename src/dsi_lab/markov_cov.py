@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TINY, SamplingScheme, in_range, index_arrays, mirror_lower, powers
+from .core import TINY, SamplingScheme, in_range, index_arrays, mirror_lower, powers, read_numbers
 from .errors import BadIndex, InvalidModel, ModelUnstable, NegativeKappa, RangeOverflow
 
 # relative slack for the Cauchy-Schwarz admissibility check
@@ -75,12 +75,9 @@ class MarkovCovarianceModel:
 
     def __post_init__(self) -> None:
         q = self.scheme.q
-        R0 = np.asarray(self.R0, dtype=float)
-        R1 = np.asarray(self.R1, dtype=float)
+        R0, R1 = (read_numbers(name, getattr(self, name), InvalidModel) for name in ("R0", "R1"))
         if R0.shape != (q,) or R1.shape != (q,):
-            raise InvalidModel(
-                f"R0 and R1 must have shape ({q},), got {R0.shape} and {R1.shape}"
-            )
+            raise InvalidModel(f"R0 and R1 must have shape ({q},), got {R0.shape} and {R1.shape}")
         if not np.all(np.isfinite(R0)) or not np.all(np.isfinite(R1)):
             raise InvalidModel("R0 and R1 must be finite")
         if np.any(R0 <= 0.0):
@@ -252,8 +249,7 @@ def model_from_sbm(scheme: SamplingScheme) -> MarkovCovarianceModel:
     """
     lam = scheme.scale
     hp = scheme.H - 0.5
-    s = np.asarray(scheme.s, dtype=float)
-    R0 = in_range("model_from_sbm variances R0", lambda: lam ** (2 * hp) * s)
+    R0 = in_range("model_from_sbm variances R0", lambda: lam ** (2 * hp) * np.array(scheme.s))
     R1 = R0.copy()
     R1[-1] = in_range(
         "model_from_sbm wrap product R1[q-1]", lambda: lam ** (3 * hp) * scheme.s[-1]

@@ -33,12 +33,12 @@ the per-path products with its standard error.
 from __future__ import annotations
 
 import math
-import numbers
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import SampleGrid, SamplingScheme, in_range, index_arrays, powers, sample_points, sample_time
+from .core import SampleGrid, SamplingScheme, in_range, index_arrays, powers, read_numbers
+from .core import sample_points, sample_time
 from .errors import BadIndex, NegativeKappa, RangeTooSmall
 
 _SEED_BOUND = 2 ** 64
@@ -88,15 +88,10 @@ def sbm_covariance_exact(scheme: SamplingScheme, kappa1, kappa2) -> np.ndarray:
 
 def _seed_value(seed) -> int:
     # integral values only: 1.5 must not truncate to 1, and True is no seed
-    integral = not isinstance(seed, bool) and (
-        isinstance(seed, numbers.Integral)
-        or (
-            isinstance(seed, numbers.Real)
-            and math.isfinite(seed)
-            and float(seed).is_integer()
-        )
-    )
-    if not (integral and 0 <= int(seed) < _SEED_BOUND):
+    value = read_numbers("seed", seed, BadIndex)
+    if isinstance(seed, (bool, np.bool_)) or value.ndim or not (
+        np.isfinite(value) and value == np.floor(value) and 0 <= int(seed) < _SEED_BOUND
+    ):
         raise BadIndex(f"seed must be a 64-bit unsigned integer, got {seed!r}")
     return int(seed)
 
@@ -133,10 +128,14 @@ def simulate_paths(
     RangeOverflow
         If a band factor or path value leaves double range.
     """
+    # read before the sign test: a very negative start is no RangeOverflow
+    bounds = read_numbers("kappa_range", kappa_range, BadIndex)
+    _, (P,) = index_arrays("simulate_paths", 1, P=P)
+    if bounds.shape != (2,) or P.ndim:
+        raise BadIndex(f"need a kappa_range pair and one P, got shapes {bounds.shape}, {P.shape}")
     kappa_min, kappa_max = kappa_range
     if kappa_min < 0:
         raise NegativeKappa(f"kappa range must start at >= 0, got {kappa_min}")
-    _, (P,) = index_arrays("simulate_paths", 1, P=P)
     if P < 1:
         raise RangeTooSmall(f"need at least one path, got P = {P}")
     P, seed = P.item(), _seed_value(seed)

@@ -42,8 +42,9 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import SamplingScheme, in_range, index_arrays, mirror_lower
+from .core import SamplingScheme, in_range, index_arrays, mirror_lower, read_numbers
 from .errors import (
+    BadIndex,
     BadInterval,
     GridTooCoarse,
     ModelUnstable,
@@ -76,13 +77,11 @@ class SpectralEvaluation:
     meta: SeriesMeta | None = None
 
     def __post_init__(self) -> None:
-        omegas = np.asarray(self.omegas, dtype=float)
-        matrices = np.asarray(self.matrices, dtype=complex)
-        if omegas.ndim != 1:
-            raise BadInterval(f"omegas must be one-dimensional, got {omegas.shape}")
-        if matrices.ndim != 3 or matrices.shape[0] != omegas.size:
+        omegas = read_numbers("omegas", self.omegas, BadInterval)
+        matrices = read_numbers("matrices", self.matrices, BadInterval, complex)
+        if omegas.ndim != 1 or matrices.ndim != 3 or matrices.shape[0] != omegas.size:
             raise BadInterval(
-                f"matrices must have shape (len(omegas), q, q), got {matrices.shape}"
+                f"need omegas (M,) and matrices (M, q, q), got {omegas.shape} and {matrices.shape}"
             )
         object.__setattr__(self, "omegas", omegas)
         object.__setattr__(self, "matrices", matrices)
@@ -92,14 +91,6 @@ class SpectralEvaluation:
         return float(
             np.max(np.abs(self.matrices - np.conj(np.swapaxes(self.matrices, 1, 2))))
         )
-
-
-def _omegas(omegas) -> np.ndarray:
-    # frequencies as a float array; NaN or infinite ones have no density
-    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    if not np.isfinite(omegas).all():
-        raise BadInterval("frequencies must be finite")
-    return omegas
 
 
 def _prefactor(scheme: SamplingScheme) -> np.ndarray:
@@ -143,19 +134,25 @@ def spectral_series(
     Raises
     ------
     BadInterval
-        If a frequency is NaN or infinite.
+        If a frequency is not a finite number.
     ModelUnstable
         If the weighted terms fail to decay (observed ratio >= 1).
     ToleranceUnreachable
         If the budget is exhausted before the tail bound certifies tol.
     """
-    if not tol > 0.0:
-        raise ToleranceUnreachable(f"tolerance must be > 0, got {tol}")
-    if tail_ratio is not None and not (0.0 <= tail_ratio < 1.0):
-        raise ModelUnstable(
-            f"tail ratio must lie in [0, 1) for a summable series, got {tail_ratio}"
-        )
-    omegas = _omegas(omegas)
+    tol = read_numbers("tol", tol, ToleranceUnreachable)
+    if tol.ndim or not tol > 0.0:
+        raise ToleranceUnreachable(f"tolerance must be one number > 0, got {tol}")
+    if tail_ratio is not None:
+        tail_ratio = read_numbers("tail_ratio", tail_ratio, ModelUnstable)
+        if tail_ratio.ndim or not 0.0 <= tail_ratio < 1.0:
+            raise ModelUnstable(f"tail ratio must be one number in [0, 1), got {tail_ratio}")
+    _, (max_terms,) = index_arrays("spectral_series", 1, max_terms=max_terms)
+    if max_terms.ndim:
+        raise BadIndex(f"max_terms must be one integer, got shape {max_terms.shape}")
+    omegas = np.atleast_1d(read_numbers("omegas", omegas, BadInterval))
+    if not np.isfinite(omegas).all():
+        raise BadInterval("frequencies must be finite")
     q = scheme.q
     K = _prefactor(scheme)
     k_max = float(K.max())
@@ -252,10 +249,10 @@ def spectral_markov(model: MarkovCovarianceModel, omegas) -> SpectralEvaluation:
     """
     scheme = model.scheme
     if not model.stability_ratio < 1.0:
-        raise ModelUnstable(
-            f"stability ratio {model.stability_ratio!r} must be < 1"
-        )
-    omegas = _omegas(omegas)
+        raise ModelUnstable(f"stability ratio {model.stability_ratio!r} must be < 1")
+    omegas = np.atleast_1d(read_numbers("omegas", omegas, BadInterval))
+    if not np.isfinite(omegas).all():
+        raise BadInterval("frequencies must be finite")
     A = model._rank_one
     a = model.ftilde_q * scheme.alpha ** (-scheme.T * scheme.H)
 
@@ -286,8 +283,9 @@ def spectral_sbm(scheme: SamplingScheme, omegas) -> SpectralEvaluation:
     (BadInterval); a prefactor lam**(2 H') or density entry outside double
     range raises RangeOverflow.
     """
-    omegas = _omegas(omegas)
-    s = np.asarray(scheme.s, dtype=float)
+    omegas = np.atleast_1d(read_numbers("omegas", omegas, BadInterval))
+    if not np.isfinite(omegas).all():
+        raise BadInterval("frequencies must be finite")
     lam = scheme.scale
     hp = scheme.H - 0.5
 
@@ -296,7 +294,7 @@ def spectral_sbm(scheme: SamplingScheme, omegas) -> SpectralEvaluation:
         d1 = 1.0 / (1.0 - scheme.alpha ** (-scheme.T / 2.0) * e)
         d2 = 1.0 / (1.0 - scheme.alpha ** (scheme.T / 2.0) * e)
         K = _prefactor(scheme) * lam ** (2 * hp)
-        sv = np.broadcast_to(s[None, :], (scheme.q, scheme.q))
+        sv = np.broadcast_to(np.array(scheme.s), (scheme.q, scheme.q))
         su = sv.T
         return K[None, :, :] * (
             sv[None, :, :] * d1[:, None, None] - su[None, :, :] * d2[:, None, None]
@@ -360,7 +358,7 @@ def invert_spectrum(
         )
 
     # log of the rescaling alpha**(tau T H) (s_u s_v)**H
-    log_s = np.log(np.asarray(scheme.s, dtype=float))
+    log_s = np.log(scheme.s)
     log_t = tau_arr * (scheme.T * math.log(scheme.alpha))
     log_scale = scheme.H * (log_t[:, None, None] + np.add.outer(log_s, log_s))
     # the rectangle-rule sums at all lags are one inverse FFT, read at tau mod M

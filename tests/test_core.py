@@ -173,6 +173,9 @@ class TestValidateScheme:
             dict(s=(1, "y")),
             dict(s=5.0),
             dict(s=()),
+            # refused, not truncated to their real parts (1 and (1, 1.5))
+            dict(T=np.array(1 + 1j)),
+            dict(s=np.array([1.0, 1.5 + 0.5j])),
         ],
     )
     def test_bad_structural_parameters(self, kwargs):

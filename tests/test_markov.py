@@ -200,12 +200,12 @@ class TestModelConstruction:
             )
 
     def test_rejects_nan(self, canonical_scheme):
-        with pytest.raises(InvalidModel):
-            MarkovCovarianceModel(
-                scheme=canonical_scheme,
-                R0=np.array([1.0, math.nan]),
-                R1=np.array([0.5, 0.5]),
-            )
+        # a complex R0 is refused, not truncated to its real part
+        for R0 in (np.array([1.0, math.nan]), np.array([1.0, 1.0 + 1j])):
+            with pytest.raises(InvalidModel):
+                MarkovCovarianceModel(
+                    scheme=canonical_scheme, R0=R0, R1=np.array([0.5, 0.5])
+                )
 
     def test_rejects_cauchy_schwarz_violation(self, canonical_scheme):
         with pytest.raises(InvalidModel):
@@ -298,9 +298,10 @@ class TestCovarianceW:
             covariance_W(canonical_model, 1, -2)
 
     def test_indices_are_never_truncated_or_wrapped(self, canonical_model):
-        # an earlier form truncated 1.5 to 1 and returned R_1(0) = 3.0; an
-        # int64 form without a bound wrapped 2**62 + 2**62 to a negative index
-        for kappa in (1.5, math.nan, [0, 0.5]):
+        # an earlier form truncated 1.5 to 1 and returned R_1(0) = 3.0, and
+        # 1 + 1j to 1; an int64 form without a bound wrapped 2**62 + 2**62 to
+        # a negative index
+        for kappa in (1.5, math.nan, [0, 0.5], np.array([1 + 1j])):
             with pytest.raises(BadIndex):
                 covariance_W(canonical_model, kappa, 0)
         with pytest.raises(BadIndex):

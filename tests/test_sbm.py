@@ -248,6 +248,14 @@ class TestSimulation:
             simulate_paths(canonical_scheme, (0, 5), 4, -1)
         with pytest.raises(BadIndex):
             simulate_paths(canonical_scheme, (0, 5), 4, 2 ** 64)
+        # the range is read before the sign test: a bound that is not a
+        # number, or a range that is not a pair, raises BadIndex, and a start
+        # far below zero is still a NegativeKappa, not a RangeOverflow
+        for kappa_range in (("x", 3), None, (0, 1, 2)):
+            with pytest.raises(BadIndex):
+                simulate_paths(canonical_scheme, kappa_range, 4, 0)
+        with pytest.raises(NegativeKappa):
+            simulate_paths(canonical_scheme, (-(2 ** 70), 3), 4, 0)
         # read, not truncated: (0, 3.7) was kappa 0..3 and (0.5, 3) started at 0
         for kappa_range, P in (((0, 3.7), 4), ((0.5, 3), 4), ((0, 3), 2.5)):
             with pytest.raises(BadIndex):

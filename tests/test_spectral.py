@@ -336,6 +336,16 @@ class TestSeriesTruncation:
         assert ev.meta == unset.meta
         assert ev.meta.tail_bound == 0.0
 
+    @pytest.mark.parametrize("max_terms", ["a", None, 1.5, math.nan])
+    def test_bad_max_terms_rejected(self, canonical_scheme, max_terms):
+        # read as an integer, not handed to range
+        model = model_from_sbm(canonical_scheme)
+        with pytest.raises(BadIndex):
+            spectral_series(
+                markov_covfn(model), canonical_scheme, uniform_grid(8),
+                tol=1e-8, max_terms=max_terms,
+            )
+
     def test_bad_tail_ratio_rejected(self, canonical_scheme):
         model = model_from_sbm(canonical_scheme)
         with pytest.raises(ModelUnstable):
@@ -459,21 +469,22 @@ class TestInversion:
 
 
 class TestFrequencyAndRangeGuards:
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    # a complex array is refused, not truncated to its real part
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.5 + 1j])
     def test_markov_rejects_non_finite_frequencies(self, canonical_scheme, bad):
         with pytest.raises(BadInterval):
-            spectral_markov(model_from_sbm(canonical_scheme), [0.5, bad])
+            spectral_markov(model_from_sbm(canonical_scheme), np.array([0.5, bad]))
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.5 + 1j])
     def test_sbm_rejects_non_finite_frequencies(self, canonical_scheme, bad):
         with pytest.raises(BadInterval):
-            spectral_sbm(canonical_scheme, [bad])
+            spectral_sbm(canonical_scheme, np.array([bad]))
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.5 + 1j])
     def test_series_rejects_non_finite_frequencies(self, canonical_scheme, bad):
         covfn = markov_covfn(model_from_sbm(canonical_scheme))
         with pytest.raises(BadInterval):
-            spectral_series(covfn, canonical_scheme, [bad, 0.0], tol=1e-8)
+            spectral_series(covfn, canonical_scheme, np.array([bad, 0.0]), tol=1e-8)
 
     def test_underflowed_cycle_product_is_finite(self, canonical_scheme):
         # ftilde(q-1) = 1e-600 underflows to 0, so a = 0 and every lag past
