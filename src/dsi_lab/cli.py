@@ -8,7 +8,8 @@ before or after it (``dsi-lab --help`` lists the commands):
 - ``covariance``: write block covariance matrices Q(0, tau) as CSV.
 - ``spectrum``: write the density matrix on a uniform frequency grid.
 - ``invert``: recover covariances from the density, write them as CSV.
-- ``verify``: run the full cross-check suite and write a pass/fail report.
+- ``verify``: run the full cross-check suite and write a pass/fail report;
+  its series tolerance is fixed at 1e-10.
 
 Every setting is one row of ``_SETTINGS``: parser, default and flag help.
 A value comes from an optional ``key=value`` file (one pair per line, ``#``
@@ -82,7 +83,6 @@ Exit codes: 0 success (verify: all checks passed), 1 verify check failed,
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import pickle
 import shutil
@@ -108,7 +108,9 @@ from .markov_cov import (
     model_from_sbm,
 )
 from .sbm_sim import PathEnsemble, estimate_R, sbm_covariance_exact, simulate_paths
-from .spectral import invert_spectrum, markov_covfn, spectral_markov, spectral_sbm, spectral_series
+from .spectral import (
+    _uniform_grid, invert_spectrum, markov_covfn, spectral_markov, spectral_sbm, spectral_series,
+)
 
 _DEFAULT_OUT = {
     "simulate": "ensemble.csv",
@@ -153,7 +155,6 @@ _SETTINGS = {
     "seed": (int, 42, "ensemble seed (64-bit unsigned)"),
     "tau_max": (int, 4, "largest block lag"),
     "omega_points": (int, 256, "frequency grid size"),
-    "tol": (float, 1e-10, "series tolerance of verify only, used as min(tol, 1e-10)"),
     "out": (str, None, "output file path"),
 }
 
@@ -168,7 +169,6 @@ class RunConfig(NamedTuple):
     seed: int
     tau_max: int
     omega_points: int
-    tol: float
     out: str
 
 
@@ -229,8 +229,6 @@ def build_config(command: str, args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"tau_max must be >= 0, got {values['tau_max']}")
     if values["omega_points"] < 2:
         raise ConfigError(f"omega_points must be >= 2, got {values['omega_points']}")
-    if not values["tol"] > 0:
-        raise ConfigError(f"tol must be > 0, got {values['tol']}")
     if not (0 <= values["seed"] < 2 ** 64):
         raise ConfigError(f"seed must be a 64-bit unsigned integer, got {values['seed']}")
     if values["out"] is None:
@@ -433,10 +431,6 @@ def _uv_prefixes(q: int) -> list[str]:
     return [f",{u},{v}" for u in range(q) for v in range(q)]
 
 
-def _uniform_grid(M: int) -> np.ndarray:
-    return np.arange(M) * (2.0 * math.pi / M)
-
-
 def _simulate(cfg: RunConfig) -> PathEnsemble:
     # flat indices 0..(tau_max + 1)*q - 1, and at least 0..q for estimate_R
     q = cfg.scheme.q
@@ -474,8 +468,8 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     model = _build_model(cfg)
     ev = spectral_markov(model, _uniform_grid(cfg.omega_points))
     rows = _write_blocks(
-        cfg.out, "omega,u,v,re,im", ev.omegas,
-        _uv_prefixes(cfg.scheme.q), np.stack([ev.matrices.real, ev.matrices.imag], -1),
+        cfg.out, "omega,u,v,re,im", ev.omegas, _uv_prefixes(cfg.scheme.q),
+        ev.matrices.view(np.float64).reshape(cfg.omega_points, cfg.scheme.q ** 2, 2),
     )
     print(f"wrote {rows} density entries to {cfg.out}")
     return 0
@@ -528,11 +522,7 @@ def _verify_spectral(cfg: RunConfig) -> list[tuple[str, float, float]]:
     omegas = _uniform_grid(cfg.omega_points)
     closed = spectral_markov(model, omegas)
     series = spectral_series(
-        markov_covfn(model),
-        scheme,
-        omegas,
-        tol=min(cfg.tol, 1e-10),
-        tail_ratio=model.stability_ratio,
+        markov_covfn(model), scheme, omegas, tol=1e-10, tail_ratio=model.stability_ratio
     )
     diff = float(np.max(np.abs(closed.matrices - series.matrices)))
     checks.append(("series_vs_closed_form", diff, 1e-8))

@@ -93,6 +93,19 @@ class SpectralEvaluation:
         )
 
 
+def _frequencies(omegas) -> np.ndarray:
+    """``omegas`` as a 1-d float64 array; BadInterval unless each is a finite number."""
+    omegas = np.atleast_1d(read_numbers("omegas", omegas, BadInterval))
+    if not np.isfinite(omegas).all():
+        raise BadInterval("frequencies must be finite")
+    return omegas
+
+
+def _uniform_grid(M: int) -> np.ndarray:
+    """The uniform grid omega_k = 2 pi k / M, k = 0..M-1, that inversion reads."""
+    return np.arange(M) * (_TWO_PI / M)
+
+
 def _prefactor(scheme: SamplingScheme) -> np.ndarray:
     # s_u * s_v may leave double range, but s**(-H) <= 1 cannot
     s_h = np.asarray(scheme.s, dtype=float) ** (-scheme.H)
@@ -112,9 +125,9 @@ def spectral_series(
     Parameters
     ----------
     covfn : callable
-        Maps an integer lag tau >= 0 to the q x q block covariance matrix
-        Q(tau).  Only nonnegative lags are requested; negative-lag terms
-        use the identity Q(-tau) = alpha**(-2 tau T H) * Q(tau)^T.
+        Maps an integer lag tau >= 0 to the real q x q block covariance
+        matrix Q(tau), read by ``core.read_numbers``.  Only lags tau >= 0 are
+        requested; Q(-tau) = alpha**(-2 tau T H) * Q(tau)^T.
     scheme : SamplingScheme
         Supplies q, the offsets for the prefactor, and the series weight.
     omegas : array_like
@@ -134,7 +147,8 @@ def spectral_series(
     Raises
     ------
     BadInterval
-        If a frequency is not a finite number.
+        If a frequency is not a finite number, or a term of ``covfn`` is
+        not a real q x q matrix.
     ModelUnstable
         If the weighted terms fail to decay (observed ratio >= 1).
     ToleranceUnreachable
@@ -150,17 +164,19 @@ def spectral_series(
     _, (max_terms,) = index_arrays("spectral_series", 1, max_terms=max_terms)
     if max_terms.ndim:
         raise BadIndex(f"max_terms must be one integer, got shape {max_terms.shape}")
-    omegas = np.atleast_1d(read_numbers("omegas", omegas, BadInterval))
-    if not np.isfinite(omegas).all():
-        raise BadInterval("frequencies must be finite")
+    omegas = _frequencies(omegas)
     q = scheme.q
     K = _prefactor(scheme)
     k_max = float(K.max())
     w = scheme.alpha ** (-scheme.T * scheme.H)
 
-    Q0 = np.asarray(covfn(0), dtype=float)
-    if Q0.shape != (q, q):
-        raise BadInterval(f"covfn(0) must have shape ({q}, {q}), got {Q0.shape}")
+    def term(tau: int) -> np.ndarray:
+        Q = read_numbers(f"covfn({tau})", covfn(tau), BadInterval)
+        if Q.shape != (q, q):
+            raise BadInterval(f"covfn({tau}) must have shape ({q}, {q}), got {Q.shape}")
+        return Q
+
+    Q0 = term(0)
     n_terms = 0
     tail = math.inf
 
@@ -177,7 +193,7 @@ def spectral_series(
         grow_run = 0
 
         for tau in range(1, max_terms + 1):
-            Qt = np.asarray(covfn(tau), dtype=float)
+            Qt = term(tau)
             wt = w ** tau
             p = p * phase
             acc += wt * (
@@ -250,9 +266,7 @@ def spectral_markov(model: MarkovCovarianceModel, omegas) -> SpectralEvaluation:
     scheme = model.scheme
     if not model.stability_ratio < 1.0:
         raise ModelUnstable(f"stability ratio {model.stability_ratio!r} must be < 1")
-    omegas = np.atleast_1d(read_numbers("omegas", omegas, BadInterval))
-    if not np.isfinite(omegas).all():
-        raise BadInterval("frequencies must be finite")
+    omegas = _frequencies(omegas)
     A = model._rank_one
     a = model.ftilde_q * scheme.alpha ** (-scheme.T * scheme.H)
 
@@ -283,9 +297,7 @@ def spectral_sbm(scheme: SamplingScheme, omegas) -> SpectralEvaluation:
     (BadInterval); a prefactor lam**(2 H') or density entry outside double
     range raises RangeOverflow.
     """
-    omegas = np.atleast_1d(read_numbers("omegas", omegas, BadInterval))
-    if not np.isfinite(omegas).all():
-        raise BadInterval("frequencies must be finite")
+    omegas = _frequencies(omegas)
     lam = scheme.scale
     hp = scheme.H - 0.5
 
@@ -345,11 +357,8 @@ def invert_spectrum(
     if not tau_arr.size:
         raise BadInterval("need at least one lag to invert")
     M = evaluation.omegas.size
-    expected = np.arange(M) * (_TWO_PI / M)
-    if M < 2 or not np.allclose(evaluation.omegas, expected, rtol=0.0, atol=1e-9):
-        raise GridTooCoarse(
-            "inversion needs the uniform grid omega_k = 2*pi*k/M, k = 0..M-1"
-        )
+    if M < 2 or not np.allclose(evaluation.omegas, _uniform_grid(M), rtol=0.0, atol=1e-9):
+        raise GridTooCoarse("inversion needs the uniform grid omega_k = 2*pi*k/M, k = 0..M-1")
     t_abs = int(np.abs(tau_arr).max())
     need = 4 * max(t_abs, 1)
     if M < need:

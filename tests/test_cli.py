@@ -167,12 +167,13 @@ class TestConfigHandling:
         cfg = tmp_path / "n.cfg"
         cfg.write_text("H = tall\n")
         assert run(["covariance", "--config", str(cfg)]) == 2
-        assert run(["covariance", "--tol", "-1",
-                    "--out", str(tmp_path / "y.csv")]) == 2
         assert run(["covariance", "--paths", "0",
                     "--out", str(tmp_path / "z.csv")]) == 2
-        assert run(["covariance", "--tol", "nan",
+        # the series tolerance of verify is fixed, not a setting
+        cfg.write_text("tol = 1e-12\n")
+        assert run(["covariance", "--config", str(cfg),
                     "--out", str(tmp_path / "w.csv")]) == 2
+        assert "unknown key 'tol'" in capsys.readouterr().err
         assert not (tmp_path / "w.csv").exists()
 
     @pytest.mark.parametrize(
@@ -670,7 +671,6 @@ SCHEME_FLAGS = {
     "--H": (st.floats(0.1, 3.0), WIDE_FLOATS),
     "--T": (st.integers(1, 3000), st.integers(-3000, 3000)),
     "--s": (offsets(st.floats(1.0, 4.0)), offsets(WIDE_FLOATS)),
-    "--tol": (st.floats(1e-12, 1e-3), WIDE_FLOATS),
     "--seed": (st.integers(0, 2 ** 64 - 1), st.integers(-1, 2 ** 64)),
 }
 
@@ -985,14 +985,8 @@ class TestVerify:
                 "518fe52f51ba3697d322f0ad3e3b6485b6cf185c67cfe564096c2a173d82ba66",
                 "a7ab55163ea53db2c1aca910c9cf21b742dabfc749475bcc51ef4c6ac04924f0",
             ),
-            # verify caps tol at 1e-10, so a larger one writes the canonical bytes
-            (
-                ["--tol", "1e-3"],
-                "595b0e96b93d5e4a5bed5356d2de63382965b700ecf2816af9f83d54ffacc28f",
-                "b2b35aef8e877bdb8a2fa81b17f7bf5e1d8027f21a4a2e5061e95987f33629be",
-            ),
         ],
-        ids=["canonical", "q3", "tol1e-3"],
+        ids=["canonical", "q3"],
     )
     @pytest.mark.parametrize("cpus", [None, 1, 2, 3], ids=lambda n: f"cpus{n}")
     def test_verify_bytes_pinned(

@@ -346,6 +346,26 @@ class TestSeriesTruncation:
                 tol=1e-8, max_terms=max_terms,
             )
 
+    @pytest.mark.parametrize(
+        "term",
+        [
+            lambda Q, tau: Q * (1 + 1j),
+            lambda Q, tau: "x",
+            lambda Q, tau: [[1.0], [1.0, 2.0]],
+            lambda Q, tau: Q if tau < 3 else np.ones((3, 3)),
+            lambda Q, tau: Q if tau < 3 else 0.0,
+        ],
+        ids=["complex", "str", "ragged", "late_wrong_shape", "late_scalar"],
+    )
+    def test_every_term_read_as_real_matrix(self, canonical_scheme, term):
+        # each covfn term, not only covfn(0), is a real q x q matrix: never
+        # truncated to its real part, never broadcast
+        covfn = markov_covfn(model_from_sbm(canonical_scheme))
+        with pytest.raises(BadInterval):
+            spectral_series(
+                lambda tau: term(covfn(tau), tau), canonical_scheme, uniform_grid(8), tol=1e-8
+            )
+
     def test_bad_tail_ratio_rejected(self, canonical_scheme):
         model = model_from_sbm(canonical_scheme)
         with pytest.raises(ModelUnstable):
@@ -445,6 +465,11 @@ class TestInversion:
         ev = spectral_markov(model, omegas)
         with pytest.raises(GridTooCoarse):
             invert_spectrum(ev, canonical_scheme, [1])
+
+    def test_empty_grid_rejected(self, canonical_scheme):
+        ev = SpectralEvaluation(np.zeros(0), np.zeros((0, 2, 2), dtype=complex))
+        with pytest.raises(GridTooCoarse):
+            invert_spectrum(ev, canonical_scheme, [0])
 
     def test_empty_lags_rejected(self, canonical_scheme):
         model = model_from_sbm(canonical_scheme)
