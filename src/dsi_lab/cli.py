@@ -23,14 +23,14 @@ padding dropped.  Each key and each value is converted to text once; a
 float, float keys included, by the array kernel of ``_floattext``, whose
 bytes are those of ``repr``: the shortest text that reads back as the same
 double.  A large table is split into contiguous parts of blocks, one per
-CPU the process may use: this process writes the first part while one
-forked worker per other part formats it into a pipe, and the pipes are
-copied into the file in part order, so the output bytes do not depend on
-the CPU count.  ``verify`` likewise runs its spectral half (closed forms,
-series, reference density and inversion) in one forked worker while this
-process runs the random half (the frame round trip and the Monte Carlo
-estimates), and reads the worker's checks back through a pipe; on one CPU
-both run here, with the same bytes and the same errors.  The simulator
+CPU the process may use, and ``_in_parts`` runs them: this process runs
+the first part while one forked worker per other part writes it into a
+pipe, and the pipes are read in part order, so the output bytes do not
+depend on the CPU count.  ``verify``'s parts are its random half (the
+frame round trip and the Monte Carlo estimates), run here, and its
+spectral half (closed forms, series, reference density and inversion),
+whose checks a worker sends back pickled; on one CPU one part runs both
+here, with the same bytes and the same errors.  The simulator
 draws each block of 4096 paths from one counter-based stream keyed by
 (seed, block), so repeated runs of one configuration produce
 byte-identical files.
@@ -77,7 +77,8 @@ keeps these thresholds for the rest of its process.  The output bytes do
 not depend on them.
 
 Exit codes: 0 success (verify: all checks passed), 1 verify check failed,
-2 configuration or domain error, 3 unstable model, 4 I/O failure.
+2 configuration or domain error, 3 unstable model, 4 I/O failure, a stdout
+that cannot be flushed (a closed pipe) included.
 """
 
 from __future__ import annotations
@@ -85,10 +86,10 @@ from __future__ import annotations
 import argparse
 import os
 import pickle
-import shutil
 import sys
-from contextlib import contextmanager
+from contextlib import closing, suppress
 from dataclasses import replace
+from itertools import chain
 from typing import BinaryIO, NamedTuple
 
 # see "Idle BLAS workers" above
@@ -325,13 +326,13 @@ def _format_blocks(keys, prefixes: list[str], flat, lo: int, hi: int):
 def _fork_part(chunks, open_pipes: list[BinaryIO], cpu: int | None) -> tuple[int, BinaryIO]:
     """Fork a worker that writes ``chunks`` to a pipe; return (pid, read end).
 
-    ``chunks`` is an iterable of bytes, run in the worker: a part of a CSV
-    table, or ``verify``'s spectral half.  The worker first moves to
-    ``cpu`` unless it is None (one of ``_worker_cpus``).  It holds its whole
-    output in memory, because the parent reads the pipe only after its own
-    work, and ends with ``os._exit``: it never returns into the caller, runs
-    no ``atexit`` hooks and flushes no stdio.  Why the fork is safe is
-    stated once, under "Fork safety" in this module's docstring.
+    ``chunks``, a part of ``_in_parts`` (an iterable of bytes), runs in the
+    worker, which first moves to ``cpu`` unless it is None and closes
+    ``open_pipes``, the earlier workers' read ends.  It holds its whole
+    output in memory, because the parent reads the pipe only after the
+    parts before it, and ends with ``os._exit``: it never returns into the
+    caller, runs no ``atexit`` hooks and flushes no stdio.  Why the fork is
+    safe is stated once, under "Fork safety" in this module's docstring.
     """
     r, w = os.pipe()
     try:
@@ -346,12 +347,10 @@ def _fork_part(chunks, open_pipes: list[BinaryIO], cpu: int | None) -> tuple[int
         try:
             if cpu is not None:
                 allowed = os.sched_getaffinity(0)
-                try:
-                    # the first call moves this process, the second frees it
+                # the first call moves this process, the second frees it
+                with suppress(OSError):
                     os.sched_setaffinity(0, {cpu})
                     os.sched_setaffinity(0, allowed)
-                except OSError:
-                    pass
             os.close(r)
             for pipe in open_pipes:
                 pipe.close()
@@ -365,18 +364,25 @@ def _fork_part(chunks, open_pipes: list[BinaryIO], cpu: int | None) -> tuple[int
     return pid, open(r, "rb")
 
 
-@contextmanager
-def _reaped(what: str):
-    """Yield a list for forked ``(pid, read end)`` workers; reap them on exit.
+def _in_parts(what: str, parts):
+    """Yield the bytes of every iterable of bytes in ``parts``, in order.
 
-    On exit every pipe is closed, which lets a worker blocked on a full pipe
-    exit, and every worker is waited for.  If the body raised, its error
-    propagates and the workers, whose output nobody will read, are killed
-    first; otherwise a worker that exited nonzero raises OSError.
+    Part 0 runs here as it is read; each other part runs in a ``_fork_part``
+    worker on one of ``_worker_cpus``, whose pipe is read in 64 KiB pieces
+    after the parts before it.  At the end every pipe is closed, which frees
+    a worker blocked on a full one, and every worker is reaped.  If part 0
+    or the reader (closing this early) raised, the workers are killed first;
+    otherwise a nonzero exit raises OSError.
     """
+    first, *rest = parts
     workers: list[tuple[int, BinaryIO]] = []
     try:
-        yield workers
+        for part, cpu in zip(rest, _worker_cpus(len(rest))):
+            workers.append(_fork_part(part, [pipe for _, pipe in workers], cpu))
+        yield from first
+        for _, pipe in workers:
+            while piece := pipe.read(1 << 16):
+                yield piece
     except BaseException:
         # imported here: its import costs about 1 ms that every run would pay
         import signal
@@ -404,26 +410,20 @@ def _write_blocks(path: str, header: str, keys, prefixes: list[str], values) -> 
 
     The blocks are cut into contiguous parts, one per usable CPU with at
     least _MIN_PART_VALUES values each, so smaller tables stay in-process.
-    This process streams part 0 to the file while one forked worker per
-    other part formats it with the same formatter into a pipe; the pipes are
-    then copied into the file in part order.  The bytes written do not
-    depend on the CPU count.  A worker that fails, or a failed write here,
-    raises OSError once every worker has been reaped.
+    ``_in_parts`` runs the parts, part 0 here and each other on a forked
+    worker, with the same formatter; the bytes written do not depend on the
+    CPU count.  A worker that fails, or a failed write here, raises OSError
+    once every worker has been reaped.
     """
     n_blocks, rows = len(values), len(prefixes)
     flat = values.reshape(n_blocks, -1)
     n_parts = max(1, min(_usable_cpus(), n_blocks, values.size // _MIN_PART_VALUES))
     bounds = [n_blocks * i // n_parts for i in range(n_parts + 1)]
+    parts = [_format_blocks(keys, prefixes, flat, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
-        with _reaped("CSV") as workers:
-            cpus = _worker_cpus(n_parts - 1)
-            for lo, hi, cpu in zip(bounds[1:-1], bounds[2:], cpus):
-                chunks = _format_blocks(keys, prefixes, flat, lo, hi)
-                workers.append(_fork_part(chunks, [pipe for _, pipe in workers], cpu))
-            fh.writelines(_format_blocks(keys, prefixes, flat, 0, bounds[1]))
-            for _, pipe in workers:
-                shutil.copyfileobj(pipe, fh)
+        with closing(_in_parts("CSV", parts)) as chunks:
+            fh.writelines(chunks)
     return n_blocks * rows
 
 
@@ -592,31 +592,31 @@ def _pickled_spectral_half(cfg: RunConfig):
 def _verify_checks(cfg: RunConfig):
     """The report's checks, in report order, and the estimates array.
 
-    With more than one usable CPU, one forked worker runs the spectral half
-    while this process runs the random half; on one CPU the spectral half
-    runs here first.  Errors keep the serial order: the spectral half's
-    error wins, re-raised here with its class and message, then the random
-    half's.  A worker that dies without sending its result raises OSError,
-    as does one whose error cannot be pickled (on one CPU that pickling
-    error propagates instead).
+    With more than one usable CPU the halves are two parts of ``_in_parts``:
+    the random half runs here and sends no bytes, so its outcome stays an
+    object, and a worker runs the spectral half.  On one CPU one part runs
+    the spectral half, then the random half.  Errors keep that order: the
+    spectral half's error wins, re-raised here with its class and message,
+    then the random half's.  A worker that dies without sending its result
+    raises OSError, as does one whose error cannot be pickled (on one CPU
+    that pickling error propagates instead).
     """
-    spectral_half = _pickled_spectral_half(cfg)
-    with _reaped("verify") as workers:
-        if _usable_cpus() > 1:
-            workers.append(_fork_part(spectral_half, [], _worker_cpus(1)[0]))
-        else:
-            spectral_half = [b"".join(spectral_half)]
-        # held until the spectral half's outcome is read
+    random_outcome = []
+
+    def random_half():
         try:
-            random_half = _verify_random(cfg)
+            random_outcome.append(_verify_random(cfg))
         except Exception as exc:
-            random_half = exc
-        data = workers[0][1].read() if workers else spectral_half[0]
-    checks = pickle.loads(data)
-    for outcome in (checks, random_half):
+            random_outcome.append(exc)
+        yield from ()
+
+    spectral = _pickled_spectral_half(cfg)
+    parts = [random_half(), spectral] if _usable_cpus() > 1 else [chain(spectral, random_half())]
+    checks = pickle.loads(b"".join(_in_parts("verify", parts)))
+    for outcome in (checks, random_outcome[0]):
         if isinstance(outcome, Exception):
             raise outcome
-    random_checks, estimates = random_half
+    random_checks, estimates = random_outcome[0]
     return checks + random_checks, estimates
 
 
@@ -672,12 +672,28 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _flush_stdout() -> None:
+    """Flush stdout, if any; where that fails (a closed pipe, say), point fd
+    1 at ``os.devnull`` before raising, so that the interpreter's own flush
+    at exit writes nowhere instead of failing again with exit code 120."""
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
+        raise
+
+
 def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
     _keep_freed_heap()
     try:
         cfg = build_config(args.command, args)
-        return _DISPATCH[args.command](cfg)
+        code = _DISPATCH[args.command](cfg)
+        _flush_stdout()
+        return code
     except ModelUnstable as exc:
         print(f"error: ModelUnstable: {exc}", file=sys.stderr)
         return 3

@@ -141,10 +141,9 @@ def wide_indices(min_value: int = -5000) -> st.SearchStrategy:
     return st.one_of(entries, st.lists(entries, min_size=1, max_size=5).map(np.array))
 
 
-def run_python(code: str, *args: str, **env: str | None) -> str:
-    """Run ``code`` with ``args`` in a fresh interpreter that imports this
-    dsi_lab; return its stdout.  Each ``env`` entry is set in the child's
-    environment, or removed from it where it is None."""
+def python_env(**env: str | None) -> dict[str, str]:
+    """This environment for a fresh interpreter that imports this dsi_lab,
+    with each ``env`` entry set, or removed where it is None."""
     child_env = dict(os.environ)
     src = str(Path(dsi_lab.__file__).resolve().parents[1])
     child_env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, child_env.get("PYTHONPATH")]))
@@ -153,9 +152,16 @@ def run_python(code: str, *args: str, **env: str | None) -> str:
             child_env.pop(key, None)
         else:
             child_env[key] = value
+    return child_env
+
+
+def run_python(code: str, *args: str, **env: str | None) -> str:
+    """Run ``code`` with ``args`` in a fresh interpreter that imports this
+    dsi_lab, its environment set by ``python_env(**env)``; return its
+    stdout."""
     done = subprocess.run(
-        [sys.executable, "-c", code, *args], env=child_env, capture_output=True, text=True,
-        timeout=120,
+        [sys.executable, "-c", code, *args], env=python_env(**env), capture_output=True,
+        text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     return done.stdout

@@ -6,6 +6,8 @@ import hashlib
 import math
 import os
 import signal
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 from dsi_lab import DsiLabError, RangeOverflow, _floattext, cli, covariance_V, model_from_sbm
 from dsi_lab import validate_scheme
 from dsi_lab.cli import main
-from conftest import run_python
+from conftest import python_env, run_python
 
 
 def run(argv):
@@ -379,6 +381,46 @@ MAIN_CHILD = """
 import sys, dsi_lab.cli
 sys.exit(dsi_lab.cli.main(sys.argv[1:]))
 """
+
+
+# the console script, dsi_lab.main, on argv
+CONSOLE_CHILD = """
+import sys, dsi_lab
+sys.exit(dsi_lab.main())
+"""
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("child", [CONSOLE_CHILD, MAIN_CHILD], ids=["console", "main"])
+    def test_closed_stdout_exit_four(self, tmp_path, child):
+        # a fresh child with buffered stdout, a pipe whose read end is closed:
+        # the summary line fails at main's flush, and the interpreter's own
+        # flush at exit must not fail again, which gave exit code 120 and two
+        # more stderr lines
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-c", child, "covariance", "--out", str(tmp_path / "c.csv")],
+                stdout=w, stderr=subprocess.PIPE, env=python_env(PYTHONUNBUFFERED=None),
+                text=True, timeout=120,
+            )
+        finally:
+            os.close(w)
+        assert done.returncode == 4
+        assert done.stderr == "error: I/O failure: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.skipif(not os.path.exists("/bin/sh"), reason="closes fd 1 through sh")
+    def test_no_stdout_exit_zero(self, tmp_path):
+        # with fd 1 closed at startup, sys.stdout is None and print writes
+        # nothing: there is nothing to flush, and nothing fails
+        done = subprocess.run(
+            ["/bin/sh", "-c", 'exec "$0" "$@" >&-', sys.executable, "-c", MAIN_CHILD,
+             "covariance", "--out", str(tmp_path / "c.csv")],
+            stderr=subprocess.PIPE, env=python_env(PYTHONUNBUFFERED=None), text=True,
+            timeout=120,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
 
 
 class TestIdleBlasWorkers:
