@@ -20,7 +20,12 @@ kappa = -1 with q = 3 lives in cycle n = -1 at offset u = 2.
 Overflow policy, for the whole package: each closed form that can leave
 double range is evaluated once, as the code computes it, through one
 guard, :func:`in_range`, which raises RangeOverflow unless every value it
-returns is finite.  Reading policy: every numeric argument is read by
+returns is finite and, for a form positive by construction, above
+:data:`TINY`: the sample times, the reference summary's R0 and R1, and the
+quasi-Lamperti points and envelope.  The exact reference covariance and the
+spectral prefactor are positive too, but are guarded at the upper end only
+(see ROADMAP).  The reference band factor lambda**(b H') is formed in one
+place, :func:`band_factor`.  Reading policy: every numeric argument is read by
 :func:`read_numbers` (an index through :func:`index_arrays`), so what is not
 a number, a complex value where a real one is wanted included, raises a
 DsiLabError and is never truncated.
@@ -45,13 +50,14 @@ from .errors import (
 )
 
 # values at or below the reciprocal of the largest double have no finite
-# reciprocal: a sample time or envelope there has flushed towards zero
+# reciprocal: a positive form there has flushed towards zero
 TINY = 1 / sys.float_info.max
 
 
-def in_range(what: str, form: Callable[[], Any]) -> Any:
+def in_range(what: str, form: Callable[[], Any], positive: bool = False) -> Any:
     """Return ``form()``, a scalar, an array or a tuple of same-shape arrays;
-    RangeOverflow names ``what`` unless every value is finite.
+    RangeOverflow names ``what`` unless every value is finite and, with
+    ``positive``, above :data:`TINY`.
 
     The form is evaluated once with numpy's floating-point warnings off.  An
     overflow in a product of powers ends as inf or NaN, or as the
@@ -65,6 +71,8 @@ def in_range(what: str, form: Callable[[], Any]) -> Any:
             value = math.inf
     if not np.isfinite(value).all():
         raise RangeOverflow(f"{what} is outside double precision range")
+    if positive and not (np.asarray(value) > TINY).all():
+        raise RangeOverflow(f"{what} flushes towards zero")
     return value
 
 
@@ -235,6 +243,12 @@ class SamplingScheme:
 validate_scheme = SamplingScheme
 
 
+def band_factor(scheme: SamplingScheme, bands) -> np.ndarray:
+    """The reference band factor lambda**(b * H'), lambda = alpha**T and
+    H' = H - 1/2, for every entry b of ``bands``, by :func:`powers`."""
+    return powers(scheme.scale, bands * (scheme.H - 0.5))
+
+
 def split_index(kappa: int, q: int) -> tuple[int, int]:
     """Split a flat index into the (cycle, offset) pair, kappa = n*q + u.
 
@@ -276,10 +290,9 @@ def sample_time(scheme: SamplingScheme, kappa) -> np.ndarray:
     """
     what, (kappa,) = index_arrays("sample_time", scheme.T, kappa=kappa)
     n, u = np.divmod(kappa, scheme.q)
-    t = in_range(what, lambda: powers(scheme.alpha, n * scheme.T) * np.array(scheme.s)[u])
-    if not (t > TINY).all():
-        raise RangeOverflow(f"{what} flushes towards zero")
-    return t
+    return in_range(
+        what, lambda: powers(scheme.alpha, n * scheme.T) * np.array(scheme.s)[u], positive=True
+    )
 
 
 def sample_points(scheme: SamplingScheme, kappa_min: int, kappa_max: int) -> SampleGrid:

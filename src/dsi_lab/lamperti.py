@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TINY, check_index_and_base, in_range, read_numbers
-from .errors import BadIndex, NonPositivePoint, RangeOverflow
+from .core import check_index_and_base, in_range, read_numbers
+from .errors import BadIndex, NonPositivePoint
 
 
 def _read_samples(grid, axis: str) -> np.ndarray:
@@ -73,19 +73,13 @@ def quasi_lamperti(y: StationaryGrid, H: float, alpha: float) -> SelfSimilarGrid
     (alpha**times)**H, i.e. X(alpha**t) = alpha**(t*H) * Y(t).
 
     Raises RangeOverflow if a point, an envelope factor or a rescaled value
-    leaves the double-precision range, or if the smallest point or its
-    envelope flushes towards zero.
+    leaves the double-precision range, or if a point or an envelope factor,
+    positive by construction, has underflowed (see :func:`core.in_range`).
     """
     H, alpha = check_index_and_base(H, alpha)
-
-    def transform():
-        points = alpha ** y.times
-        return points, points ** H * y.values
-
-    points, values = in_range("alpha**t and alpha**(H*t) * values", transform)
-    # the smallest point and envelope factor sit at the first time
-    if points.size and not min(points[0], points[0] ** H) > TINY:
-        raise RangeOverflow("alpha**t or alpha**(H*t) flushes towards zero")
+    points = in_range("alpha**t", lambda: alpha ** y.times, positive=True)
+    envelope = in_range("alpha**(H*t)", lambda: points ** H, positive=True)
+    values = in_range("alpha**(H*t) * values", lambda: envelope * y.values)
     return SelfSimilarGrid(points=points, values=values)
 
 

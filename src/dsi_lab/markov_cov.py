@@ -39,8 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TINY, SamplingScheme, in_range, index_arrays, mirror_lower, powers, read_numbers
-from .errors import BadIndex, InvalidModel, ModelUnstable, NegativeKappa, RangeOverflow
+from .core import SamplingScheme, band_factor, in_range, index_arrays, mirror_lower, powers
+from .core import read_numbers
+from .errors import BadIndex, InvalidModel, ModelUnstable, NegativeKappa
 
 # relative slack for the Cauchy-Schwarz admissibility check
 _CS_SLACK = 1e-12
@@ -244,18 +245,16 @@ def model_from_sbm(scheme: SamplingScheme) -> MarkovCovarianceModel:
 
     and the model is always strictly stable: |ftilde(q-1)| = lambda**H'
     < lambda**H.  RangeOverflow is raised when an entry leaves double
-    range, or flushes towards zero: every entry is positive, and one at or
-    below the reciprocal of the largest double has underflowed.
+    range, or underflows: every entry is positive by construction, so one
+    that has flushed is refused (see :func:`core.in_range`).
     """
-    lam = scheme.scale
-    hp = scheme.H - 0.5
-    R0 = in_range("model_from_sbm variances R0", lambda: lam ** (2 * hp) * np.array(scheme.s))
+    R0 = in_range(
+        "model_from_sbm R0", lambda: band_factor(scheme, 2) * np.array(scheme.s), positive=True
+    )
     R1 = R0.copy()
     R1[-1] = in_range(
-        "model_from_sbm wrap product R1[q-1]", lambda: lam ** (3 * hp) * scheme.s[-1]
+        f"model_from_sbm R1[{scheme.q - 1}]",
+        lambda: band_factor(scheme, 3) * scheme.s[-1],
+        positive=True,
     )
-    for name, entries in (("R0", R0), ("R1", R1)):
-        low = np.flatnonzero(entries <= TINY)
-        if low.size:
-            raise RangeOverflow(f"model_from_sbm {name}[{low[0]}] flushes towards zero")
     return MarkovCovarianceModel(scheme=scheme, R0=R0, R1=R1)

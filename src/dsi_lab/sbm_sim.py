@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import SampleGrid, SamplingScheme, in_range, index_arrays, powers, read_numbers
+from .core import SampleGrid, SamplingScheme, band_factor, in_range, index_arrays, read_numbers
 from .core import sample_points, sample_time
 from .errors import BadIndex, NegativeKappa, RangeTooSmall
 
@@ -83,7 +83,7 @@ def sbm_covariance_exact(scheme: SamplingScheme, kappa1, kappa2) -> np.ndarray:
         raise NegativeKappa(f"{what}: indices must be >= 0")
     t_min = np.minimum(sample_time(scheme, kappa1), sample_time(scheme, kappa2))
     bands = kappa1 // scheme.q + kappa2 // scheme.q + 2
-    return in_range(what, lambda: powers(scheme.scale, bands * (scheme.H - 0.5)) * t_min)
+    return in_range(what, lambda: band_factor(scheme, bands) * t_min)
 
 
 def _seed_value(seed) -> int:
@@ -142,10 +142,6 @@ def simulate_paths(
 
     grid = sample_points(scheme, kappa_min, kappa_max)
     K = grid.times.size
-    lam = scheme.scale
-    hp = scheme.H - 0.5
-    # band b = n + 1, as in the covariance exponent above
-    bands = grid.n + 1
     # Brownian increment scales, first one from the origin
     inc_std = np.sqrt(np.diff(grid.times, prepend=0.0))
 
@@ -160,7 +156,8 @@ def simulate_paths(
         # in place: a temporary (P, K) array here measurably raises peak memory
         np.multiply(z, inc_std, out=z)
         np.cumsum(z, axis=1, out=z)
-        return np.multiply(z, lam ** (bands * hp), out=z)
+        # band b = n + 1, as in the covariance exponent above
+        return np.multiply(z, band_factor(scheme, grid.n + 1), out=z)
 
     in_range(
         f"paths over kappa in [{kappa_min}, {kappa_max}] with H = {scheme.H}", synthesize

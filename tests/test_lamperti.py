@@ -90,6 +90,29 @@ class TestQuasiLamperti:
             with pytest.raises(RangeOverflow):
                 quasi_lamperti(y, H=H, alpha=2.0)
 
+    @pytest.mark.parametrize(
+        "t, H, flushed",
+        [
+            # a point 2**t against 1 / DBL_MAX = 2**-1024
+            (-1023.0, 1.0, False),
+            (-1024.0, 1.0, True),
+            (-1075.0, 1.0, True),
+            # an envelope (2**t)**2 against the same bound
+            (-511.0, 2.0, False),
+            (-512.0, 2.0, True),
+            (-513.0, 2.0, True),
+        ],
+    )
+    def test_overflow_guard_boundary(self, t, H, flushed):
+        y = StationaryGrid(times=[t, 0.0], values=[1.0, 1.0])
+        if flushed:
+            with pytest.raises(RangeOverflow, match="flushes towards zero"):
+                quasi_lamperti(y, H=H, alpha=2.0)
+        else:
+            x = quasi_lamperti(y, H=H, alpha=2.0)
+            assert x.points[0] == 2.0 ** t
+            assert x.values[0] == 2.0 ** (H * t)
+
     def test_value_overflow_guard(self):
         # the envelope 2**40 is in range, 2**40 * 1e300 is not
         y = StationaryGrid(times=[0.0, 40.0], values=[1.0, 1e300])

@@ -134,6 +134,18 @@ class TestModelConstruction:
         with pytest.raises(RangeOverflow, match=r"^model_from_sbm R1\[0\] flushes towards zero$"):
             model_from_sbm(scheme)
 
+    @pytest.mark.parametrize("s0, flushed", [(4.5, False), (4.0, True), (2.0, True)])
+    def test_reference_summary_underflow_boundary(self, s0, flushed):
+        # lambda = 2**912 and H' = -3/8: the wrap product lambda**(3 H') * s0
+        # is s0 * 2**-1026, an exact subnormal, against 1 / DBL_MAX = 2**-1024
+        scheme = validate_scheme(H=0.125, alpha=2.0, T=912, s=(s0,))
+        if flushed:
+            message = r"^model_from_sbm R1\[0\] flushes towards zero$"
+            with pytest.raises(RangeOverflow, match=message):
+                model_from_sbm(scheme)
+        else:
+            assert model_from_sbm(scheme).R1[0] == s0 * 2.0 ** -1026
+
     def test_rank_one_factor_past_double_range(self):
         # ftilde(1) = 1e-400 underflows to 0, so the factor entry
         # A[0, 2] = ftilde(-1) / ftilde(1) * R0[2] = 1e400 is no double
