@@ -78,7 +78,8 @@ not depend on them.
 
 Exit codes: 0 success (verify: all checks passed), 1 verify check failed,
 2 configuration or domain error, 3 unstable model, 4 I/O failure, a stdout
-that cannot be flushed (a closed pipe) included.
+that cannot be flushed (a closed pipe) included, or an allocation that
+fails (``simulate --paths 100000000000``, say).
 """
 
 from __future__ import annotations
@@ -702,6 +703,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except OSError as exc:
         print(f"error: I/O failure: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
         return 4
 
 

@@ -57,7 +57,8 @@ _TWO_PI = 2.0 * math.pi
 
 class SeriesMeta(NamedTuple):
     """Truncation record of a series evaluation: highest lag summed and the
-    certified geometric tail bound (in density units, entrywise sup)."""
+    geometric tail bound that the stated decay ratio certifies (in density
+    units, entrywise sup)."""
 
     n_terms: int
     tail_bound: float
@@ -117,7 +118,7 @@ def spectral_series(
     scheme: SamplingScheme,
     omegas,
     tol: float,
-    tail_ratio: float | None = None,
+    tail_ratio: float,
     max_terms: int = 1_000_000,
 ) -> SpectralEvaluation:
     """Sum the two-sided weighted Fourier series of a covariance sequence.
@@ -136,11 +137,13 @@ def spectral_series(
         Target truncation accuracy, certified entrywise on the density via
         the geometric tail bound 2 * Kmax * m_N * r / (1 - r) < tol, where
         m_N is the weighted magnitude of the last summed term.
-    tail_ratio : float, optional
-        Known per-lag decay ratio in [0, 1) of the weighted terms (for a
-        Markov model this is exactly its stability ratio).  When omitted
-        the ratio is estimated conservatively from the trailing terms,
-        which is sound for eventually-geometric sequences.
+    tail_ratio : float
+        The caller's bound r in [0, 1) on the lag-to-lag ratio of the
+        weighted terms' magnitudes m_tau = alpha**(-T*H*tau) * max|Q(tau)|,
+        m_(tau+1) <= r * m_tau at every lag tau >= 1 (for a Markov model
+        this is exactly its stability ratio).  The tail bound is only as
+        sound as r; the sum stops at the first lag whose bound is below
+        tol, so at the first weighted term that is exactly 0.
     max_terms : int
         Lag budget; exceeding it raises ToleranceUnreachable.
 
@@ -150,17 +153,17 @@ def spectral_series(
         If a frequency is not a finite number, or a term of ``covfn`` is
         not a real q x q matrix.
     ModelUnstable
-        If the weighted terms fail to decay (observed ratio >= 1).
+        If ``tail_ratio`` is not one number in [0, 1), or the weighted
+        terms fail to decay (ratio >= 1 for 4q + 4 lags in a row).
     ToleranceUnreachable
         If the budget is exhausted before the tail bound certifies tol.
     """
     tol = read_numbers("tol", tol, ToleranceUnreachable)
     if tol.ndim or not tol > 0.0:
         raise ToleranceUnreachable(f"tolerance must be one number > 0, got {tol}")
-    if tail_ratio is not None:
-        tail_ratio = read_numbers("tail_ratio", tail_ratio, ModelUnstable)
-        if tail_ratio.ndim or not 0.0 <= tail_ratio < 1.0:
-            raise ModelUnstable(f"tail ratio must be one number in [0, 1), got {tail_ratio}")
+    r = read_numbers("tail_ratio", tail_ratio, ModelUnstable)
+    if r.ndim or not 0.0 <= r < 1.0:
+        raise ModelUnstable(f"tail ratio must be one number in [0, 1), got {r}")
     _, (max_terms,) = index_arrays("spectral_series", 1, max_terms=max_terms)
     if max_terms.ndim:
         raise BadIndex(f"max_terms must be one integer, got shape {max_terms.shape}")
@@ -185,11 +188,7 @@ def spectral_series(
         phase = np.exp(-1j * omegas)  # one-lag phase step
         acc = np.broadcast_to(Q0, (omegas.size, q, q)).astype(complex).copy()
         p = np.ones_like(phase)
-
-        # trailing weighted magnitudes for the conservative ratio estimate
-        history: list[float] = []
         m_prev = float(np.abs(Q0).max())
-        zero_run = 0
         grow_run = 0
 
         for tau in range(1, max_terms + 1):
@@ -202,20 +201,6 @@ def spectral_series(
             n_terms = tau
 
             m = wt * float(np.abs(Qt).max())
-            if m == 0.0:
-                zero_run += 1
-                if zero_run >= q:
-                    tail = 0.0
-                    break
-                continue
-            zero_run = 0
-
-            if tail_ratio is not None:
-                r = tail_ratio
-            else:
-                history.append(0.0 if m_prev == 0.0 else m / m_prev)
-                history = history[-max(q, 3):]
-                r = max(history)
             if m_prev > 0.0 and m / m_prev >= 1.0:
                 grow_run += 1
                 if grow_run >= 4 * q + 4:
@@ -225,12 +210,9 @@ def spectral_series(
             else:
                 grow_run = 0
             m_prev = m
-
-            # let at least one full block pass before trusting an estimated ratio
-            if r < 1.0 and (tail_ratio is not None or tau > q):
-                tail = 2.0 * k_max * m * r / (1.0 - r)
-                if tail < tol:
-                    break
+            tail = 2.0 * k_max * m * r / (1.0 - r)
+            if tail < tol:
+                break
         else:
             raise ToleranceUnreachable(
                 f"tail bound still {tail:.3e} after {max_terms} lags (target {tol:.3e})"

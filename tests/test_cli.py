@@ -242,6 +242,15 @@ class TestConfigHandling:
         assert results[0] == results[1]
 
 
+# cli.main on argv with the address space capped at 4 GiB before dsi_lab loads
+CAPPED_CHILD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+import dsi_lab.cli
+sys.exit(dsi_lab.cli.main(sys.argv[1:]))
+"""
+
+
 class TestExitCodes:
     def test_unstable_model_exit_three(self, tmp_path, capsys):
         # boundary wrap correlation: |ftilde(q-1)| equals alpha**(T*H) exactly
@@ -333,6 +342,29 @@ class TestExitCodes:
         out = tmp_path / "no" / "such" / "dir" / "x.csv"
         assert run(["covariance", "--out", str(out)]) == 4
         assert "I/O" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs RLIMIT_AS enforced")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--paths", "100000000000"],
+            ["verify", "--paths", "100000000000"],
+            ["spectrum", "--omega-points", "100000000000"],
+        ],
+        ids=["simulate", "verify", "spectrum"],
+    )
+    def test_failed_allocation_exit_four(self, tmp_path, argv):
+        # a child whose address space is capped, so that the allocation is
+        # refused whatever the host's overcommit setting
+        done = subprocess.run(
+            [sys.executable, "-c", CAPPED_CHILD, *argv, "--out", str(tmp_path / "x.csv")],
+            stderr=subprocess.PIPE, env=python_env(OPENBLAS_NUM_THREADS="1"), text=True,
+            timeout=120,
+        )
+        assert done.returncode == 4, done.stderr
+        assert done.stderr.startswith("error: MemoryError: ")
+        assert done.stderr.count("\n") == 1
+        assert "Traceback" not in done.stderr
 
 
 # the console entry run on argv, then its exit code, the BLAS thread setting

@@ -139,7 +139,8 @@ class TestAgainstBruteForceOracle:
         oracle = brute_force_density(canonical_scheme, omegas, n_lags=260)
         model = model_from_sbm(canonical_scheme)
         series = spectral_series(
-            markov_covfn(model), canonical_scheme, omegas, tol=1e-10
+            markov_covfn(model), canonical_scheme, omegas, tol=1e-10,
+            tail_ratio=model.stability_ratio,
         )
         assert np.max(np.abs(series.matrices - oracle)) < 1e-8
 
@@ -166,20 +167,28 @@ class TestClosedForms:
         assert wantpi == pytest.approx(0.05461334239426594, rel=1e-14)
 
     def test_series_vs_closed_random_models(self, stable_model_factory):
+        # the series is within its certified tail bound of the closed form,
+        # up to rounding: one eps per summed lag of the largest entry
         rng = np.random.default_rng(47)
         omegas = uniform_grid(128)
         for q in (1, 2, 3, 5):
             for _ in range(3):
                 model = stable_model_factory(rng, q)
                 closed = spectral_markov(model, omegas)
-                series = spectral_series(
-                    markov_covfn(model),
-                    model.scheme,
-                    omegas,
-                    tol=1e-10,
-                    tail_ratio=model.stability_ratio,
-                )
-                assert np.max(np.abs(closed.matrices - series.matrices)) < 1e-8
+                scale = np.max(np.abs(closed.matrices))
+                for tol in (1e-3, 1e-6, 1e-10):
+                    series = spectral_series(
+                        markov_covfn(model),
+                        model.scheme,
+                        omegas,
+                        tol=tol,
+                        tail_ratio=model.stability_ratio,
+                    )
+                    err = np.max(np.abs(closed.matrices - series.matrices))
+                    rounding = EPS * (1 + series.meta.n_terms) * scale
+                    assert series.meta.tail_bound < tol
+                    assert err <= series.meta.tail_bound + rounding
+                assert err < 1e-8  # at the last tolerance, 1e-10
 
     def test_division_free_form_matches_two_division_form(self):
         # the shipped form never divides by a; wherever 1/a is a double it
@@ -309,23 +318,13 @@ class TestSeriesTruncation:
         model = model_from_sbm(canonical_scheme)
         omegas = uniform_grid(32)
         covfn = markov_covfn(model)
-        loose = spectral_series(covfn, canonical_scheme, omegas, tol=1e-4)
-        tight = spectral_series(covfn, canonical_scheme, omegas, tol=1e-10)
+        r = model.stability_ratio
+        loose = spectral_series(covfn, canonical_scheme, omegas, tol=1e-4, tail_ratio=r)
+        tight = spectral_series(covfn, canonical_scheme, omegas, tol=1e-10, tail_ratio=r)
         assert np.max(np.abs(loose.matrices - tight.matrices)) <= 2e-4
         assert loose.meta.n_terms < tight.meta.n_terms
         assert loose.meta.tail_bound < 1e-4
         assert tight.meta.tail_bound < 1e-10
-
-    def test_estimated_ratio_matches_known_ratio(self, canonical_scheme):
-        model = model_from_sbm(canonical_scheme)
-        omegas = uniform_grid(32)
-        covfn = markov_covfn(model)
-        estimated = spectral_series(covfn, canonical_scheme, omegas, tol=1e-9)
-        exact = spectral_series(
-            covfn, canonical_scheme, omegas, tol=1e-9,
-            tail_ratio=model.stability_ratio,
-        )
-        assert np.max(np.abs(estimated.matrices - exact.matrices)) < 1e-9
 
     def test_finite_support_sums_exactly(self, canonical_scheme):
         q = canonical_scheme.q
@@ -336,7 +335,7 @@ class TestSeriesTruncation:
             return (Q0, Q1)[tau] if tau <= 1 else np.zeros((q, q))
 
         omegas = uniform_grid(16)
-        ev = spectral_series(covfn, canonical_scheme, omegas, tol=1e-12)
+        ev = spectral_series(covfn, canonical_scheme, omegas, tol=1e-12, tail_ratio=0.0)
         w = canonical_scheme.alpha ** (-canonical_scheme.T * canonical_scheme.H)
         K = np.outer(canonical_scheme.s, canonical_scheme.s) ** (
             -canonical_scheme.H
@@ -365,7 +364,7 @@ class TestSeriesTruncation:
             return 3.0 ** tau * np.ones((q, q))
 
         with pytest.raises(ModelUnstable):
-            spectral_series(covfn, canonical_scheme, uniform_grid(8), tol=1e-6)
+            spectral_series(covfn, canonical_scheme, uniform_grid(8), tol=1e-6, tail_ratio=0.5)
 
     def test_zero_tail_ratio_for_white_blocks(self, canonical_scheme):
         # Q(tau) = 0 for tau >= 1: the weighted terms decay with ratio 0
@@ -377,12 +376,10 @@ class TestSeriesTruncation:
 
         omegas = uniform_grid(8)
         ev = spectral_series(covfn, canonical_scheme, omegas, tol=1e-12, tail_ratio=0.0)
-        unset = spectral_series(covfn, canonical_scheme, omegas, tol=1e-12)
         K = np.outer(canonical_scheme.s, canonical_scheme.s) ** (
             -canonical_scheme.H
         ) / TWO_PI
         assert np.array_equal(ev.matrices, np.broadcast_to(K * Q0, (8, q, q)))
-        assert ev.meta == unset.meta
         assert ev.meta.tail_bound == 0.0
 
     @pytest.mark.parametrize("max_terms", ["a", None, 1.5, math.nan])
@@ -392,7 +389,7 @@ class TestSeriesTruncation:
         with pytest.raises(BadIndex):
             spectral_series(
                 markov_covfn(model), canonical_scheme, uniform_grid(8),
-                tol=1e-8, max_terms=max_terms,
+                tol=1e-8, tail_ratio=model.stability_ratio, max_terms=max_terms,
             )
 
     @pytest.mark.parametrize(
@@ -409,19 +406,23 @@ class TestSeriesTruncation:
     def test_every_term_read_as_real_matrix(self, canonical_scheme, term):
         # each covfn term, not only covfn(0), is a real q x q matrix: never
         # truncated to its real part, never broadcast
-        covfn = markov_covfn(model_from_sbm(canonical_scheme))
+        model = model_from_sbm(canonical_scheme)
+        covfn = markov_covfn(model)
         with pytest.raises(BadInterval):
             spectral_series(
-                lambda tau: term(covfn(tau), tau), canonical_scheme, uniform_grid(8), tol=1e-8
+                lambda tau: term(covfn(tau), tau), canonical_scheme, uniform_grid(8), tol=1e-8,
+                tail_ratio=model.stability_ratio,
             )
 
     def test_bad_tail_ratio_rejected(self, canonical_scheme):
+        # the ratio has no default: None is not a number, like any other
         model = model_from_sbm(canonical_scheme)
-        with pytest.raises(ModelUnstable):
-            spectral_series(
-                markov_covfn(model), canonical_scheme, uniform_grid(8),
-                tol=1e-8, tail_ratio=1.0,
-            )
+        for tail_ratio in (1.0, None):
+            with pytest.raises(ModelUnstable):
+                spectral_series(
+                    markov_covfn(model), canonical_scheme, uniform_grid(8),
+                    tol=1e-8, tail_ratio=tail_ratio,
+                )
 
 
 class TestInversion:
@@ -601,9 +602,12 @@ class TestFrequencyAndRangeGuards:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.5 + 1j])
     def test_series_rejects_non_finite_frequencies(self, canonical_scheme, bad):
-        covfn = markov_covfn(model_from_sbm(canonical_scheme))
+        model = model_from_sbm(canonical_scheme)
         with pytest.raises(BadInterval):
-            spectral_series(covfn, canonical_scheme, np.array([bad, 0.0]), tol=1e-8)
+            spectral_series(
+                markov_covfn(model), canonical_scheme, np.array([bad, 0.0]), tol=1e-8,
+                tail_ratio=model.stability_ratio,
+            )
 
     def test_underflowed_cycle_product_is_finite(self, canonical_scheme):
         # ftilde(q-1) = 1e-600 underflows to 0, so a = 0 and every lag past
@@ -655,12 +659,11 @@ class TestFrequencyAndRangeGuards:
         model = MarkovCovarianceModel(
             scheme=canonical_scheme, R0=[1e300, 1e300], R1=[1e300, 1.9999999999e300]
         )
-        for tail_ratio in (model.stability_ratio, None):
-            with pytest.raises(RangeOverflow):
-                spectral_series(
-                    markov_covfn(model), canonical_scheme, [0.0, 1.0], tol=1e290,
-                    tail_ratio=tail_ratio,
-                )
+        with pytest.raises(RangeOverflow):
+            spectral_series(
+                markov_covfn(model), canonical_scheme, [0.0, 1.0], tol=1e290,
+                tail_ratio=model.stability_ratio,
+            )
         # every lag matrix is a double, their weighted sum is not
         with pytest.raises(RangeOverflow):
             spectral_series(
@@ -673,24 +676,22 @@ class TestFrequencyAndRangeGuards:
             raise AssertionError("a NaN tolerance summed a term")
 
         with pytest.raises(ToleranceUnreachable):
-            spectral_series(covfn, canonical_scheme, [0.0], tol=math.nan)
+            spectral_series(covfn, canonical_scheme, [0.0], tol=math.nan, tail_ratio=0.5)
 
     @settings(max_examples=50, deadline=None)
     @given(
         drawn=wide_models(),
         omegas=finite_omegas,
         tol=st.floats(min_value=1e-12, max_value=1e300),
-        known_ratio=st.booleans(),
     )
-    def test_series_finite_or_error(self, drawn, omegas, tol, known_ratio):
+    def test_series_finite_or_error(self, drawn, omegas, tol):
         # a small lag budget: a ratio near 1 ends in ToleranceUnreachable
         scheme, R0, R1 = drawn
         try:
             model = MarkovCovarianceModel(scheme=scheme, R0=R0, R1=R1)
             ev = spectral_series(
                 markov_covfn(model), scheme, omegas, tol=tol,
-                tail_ratio=model.stability_ratio if known_ratio else None,
-                max_terms=2000,
+                tail_ratio=model.stability_ratio, max_terms=2000,
             )
         except DsiLabError:
             return
