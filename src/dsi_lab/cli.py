@@ -231,6 +231,13 @@ def build_config(command: str, args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"tau_max must be >= 0, got {values['tau_max']}")
     if values["omega_points"] < 2:
         raise ConfigError(f"omega_points must be >= 2, got {values['omega_points']}")
+    # one complex q x q matrix per frequency, or per lag 0..tau_max, in one array
+    largest = np.iinfo(np.intp).max // (16 * scheme.q ** 2)
+    for key, extra in (("omega_points", 0), ("tau_max", 1)):
+        if values[key] + extra > largest:
+            raise ConfigError(
+                f"{key} = {values[key]} needs an array past the largest numpy can index"
+            )
     if not (0 <= values["seed"] < 2 ** 64):
         raise ConfigError(f"seed must be a 64-bit unsigned integer, got {values['seed']}")
     if values["out"] is None:

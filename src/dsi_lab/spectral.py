@@ -43,16 +43,11 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .core import SamplingScheme, band_factor, in_range, index_arrays, mirror_lower, read_numbers
-from .errors import (
-    BadIndex,
-    BadInterval,
-    GridTooCoarse,
-    ModelUnstable,
-    ToleranceUnreachable,
-)
+from .errors import BadInterval, GridTooCoarse, ModelUnstable, ToleranceUnreachable
 from .markov_cov import MarkovCovarianceModel, covariance_V
 
 _TWO_PI = 2.0 * math.pi
+_MAX_TERMS = 1_000_000  # spectral_series' lag budget
 
 
 class SeriesMeta(NamedTuple):
@@ -119,7 +114,6 @@ def spectral_series(
     omegas,
     tol: float,
     tail_ratio: float,
-    max_terms: int = 1_000_000,
 ) -> SpectralEvaluation:
     """Sum the two-sided weighted Fourier series of a covariance sequence.
 
@@ -141,11 +135,12 @@ def spectral_series(
         The caller's bound r in [0, 1) on the lag-to-lag ratio of the
         weighted terms' magnitudes m_tau = alpha**(-T*H*tau) * max|Q(tau)|,
         m_(tau+1) <= r * m_tau at every lag tau >= 1 (for a Markov model
-        this is exactly its stability ratio).  The tail bound is only as
-        sound as r; the sum stops at the first lag whose bound is below
-        tol, so at the first weighted term that is exactly 0.
-    max_terms : int
-        Lag budget; exceeding it raises ToleranceUnreachable.
+        this is exactly its stability ratio).  The sum stops at the first
+        lag whose bound is below tol, so at the first weighted term that is
+        exactly 0.  A finite bound b_1 not below tol at lag 1 sets the last
+        lag, 3 + floor((log tol - log b_1) / log r): one past the lag by
+        which a covfn that keeps ratio r has its bound below tol, for
+        rounding.
 
     Raises
     ------
@@ -153,10 +148,10 @@ def spectral_series(
         If a frequency is not a finite number, or a term of ``covfn`` is
         not a real q x q matrix.
     ModelUnstable
-        If ``tail_ratio`` is not one number in [0, 1), or the weighted
-        terms fail to decay (ratio >= 1 for 4q + 4 lags in a row).
+        If ``tail_ratio`` is not one number in [0, 1), or the bound is not
+        below tol at the last lag: the weighted terms decay slower than r.
     ToleranceUnreachable
-        If the budget is exhausted before the tail bound certifies tol.
+        If the budget of a million lags is exhausted first.
     """
     tol = read_numbers("tol", tol, ToleranceUnreachable)
     if tol.ndim or not tol > 0.0:
@@ -164,9 +159,6 @@ def spectral_series(
     r = read_numbers("tail_ratio", tail_ratio, ModelUnstable)
     if r.ndim or not 0.0 <= r < 1.0:
         raise ModelUnstable(f"tail ratio must be one number in [0, 1), got {r}")
-    _, (max_terms,) = index_arrays("spectral_series", 1, max_terms=max_terms)
-    if max_terms.ndim:
-        raise BadIndex(f"max_terms must be one integer, got shape {max_terms.shape}")
     omegas = _frequencies(omegas)
     q = scheme.q
     K = _prefactor(scheme)
@@ -188,10 +180,9 @@ def spectral_series(
         phase = np.exp(-1j * omegas)  # one-lag phase step
         acc = np.broadcast_to(Q0, (omegas.size, q, q)).astype(complex).copy()
         p = np.ones_like(phase)
-        m_prev = float(np.abs(Q0).max())
-        grow_run = 0
+        last = 0
 
-        for tau in range(1, max_terms + 1):
+        for tau in range(1, _MAX_TERMS + 1):
             Qt = term(tau)
             wt = w ** tau
             p = p * phase
@@ -201,21 +192,20 @@ def spectral_series(
             n_terms = tau
 
             m = wt * float(np.abs(Qt).max())
-            if m_prev > 0.0 and m / m_prev >= 1.0:
-                grow_run += 1
-                if grow_run >= 4 * q + 4:
-                    raise ModelUnstable(
-                        f"weighted series terms are not decaying (ratio >= 1 at lag {tau})"
-                    )
-            else:
-                grow_run = 0
-            m_prev = m
             tail = 2.0 * k_max * m * r / (1.0 - r)
             if tail < tol:
                 break
+            if tau == last:
+                raise ModelUnstable(
+                    f"weighted series terms decay slower than the ratio r = {r} "
+                    f"(tail bound {tail:.3e} at lag {tau}, target {tol:.3e})"
+                )
+            if tau == 1 and math.isfinite(tail):
+                # logs apart: tol / tail can underflow to 0 for a finite tail
+                last = 3 + math.floor((math.log(tol) - math.log(tail)) / math.log(r))
         else:
             raise ToleranceUnreachable(
-                f"tail bound still {tail:.3e} after {max_terms} lags (target {tol:.3e})"
+                f"tail bound still {tail:.3e} after {_MAX_TERMS} lags (target {tol:.3e})"
             )
         return K[None, :, :] * acc
 

@@ -316,6 +316,31 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: RangeOverflow: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--omega-points", "100000000000000000000"],
+            ["invert", "--omega-points", "100000000000000000000"],
+            ["verify", "--omega-points", "100000000000000000000"],
+            ["spectrum", "--omega-points", "9223372036854775807"],
+            ["verify", "--omega-points", "9223372036854775807"],
+            ["invert", "--tau-max", "9223372036854775807"],
+            ["invert", "--tau-max", "100000000000000000000"],
+        ],
+        ids=[
+            "spectrum_1e20", "invert_1e20", "verify_1e20", "spectrum_intp_max",
+            "verify_intp_max", "invert_tau_intp_max", "invert_tau_1e20",
+        ],
+    )
+    def test_size_past_largest_array_exit_two(self, tmp_path, capsys, argv):
+        # refused in build_config, before any array is allocated
+        out = tmp_path / "x.csv"
+        assert run(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_coarse_grid_names_the_bound_it_checks(self, tmp_path, capsys):
         # lag 0 still needs four frequency points
         out = tmp_path / "i.csv"
@@ -350,12 +375,14 @@ class TestExitCodes:
             ["simulate", "--paths", "100000000000"],
             ["verify", "--paths", "100000000000"],
             ["spectrum", "--omega-points", "100000000000"],
+            ["spectrum", "--omega-points", "144115188075855871"],
         ],
-        ids=["simulate", "verify", "spectrum"],
+        ids=["simulate", "verify", "spectrum", "spectrum_below_size_rule"],
     )
     def test_failed_allocation_exit_four(self, tmp_path, argv):
         # a child whose address space is capped, so that the allocation is
-        # refused whatever the host's overcommit setting
+        # refused whatever the host's overcommit setting; 144115188075855871
+        # complex 2 x 2 matrices are the most one array can index
         done = subprocess.run(
             [sys.executable, "-c", CAPPED_CHILD, *argv, "--out", str(tmp_path / "x.csv")],
             stderr=subprocess.PIPE, env=python_env(OPENBLAS_NUM_THREADS="1"), text=True,

@@ -68,7 +68,7 @@ VALID = {
     "spectral_sbm": dict(scheme=SCHEME, omegas=[0.0, 1.0]),
     "spectral_series": dict(
         covfn=dsi_lab.markov_covfn(MODEL), scheme=SCHEME, omegas=[0.0, 1.0], tol=1e-8,
-        tail_ratio=MODEL.stability_ratio, max_terms=10_000,
+        tail_ratio=MODEL.stability_ratio,
     ),
 }
 

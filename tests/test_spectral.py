@@ -29,6 +29,7 @@ from dsi_lab import (
     spectral_series,
     validate_scheme,
 )
+from dsi_lab import spectral
 from conftest import make_scheme, random_stable_model, wide_models, wide_schemes
 
 TWO_PI = 2.0 * math.pi
@@ -349,12 +350,13 @@ class TestSeriesTruncation:
         assert np.max(np.abs(ev.matrices - want)) < 1e-14
         assert ev.meta.tail_bound == 0.0
 
-    def test_budget_exhaustion_raises(self, canonical_scheme):
+    def test_budget_exhaustion_raises(self, canonical_scheme, monkeypatch):
         model = model_from_sbm(canonical_scheme)
+        monkeypatch.setattr(spectral, "_MAX_TERMS", 3)
         with pytest.raises(ToleranceUnreachable):
             spectral_series(
                 markov_covfn(model), canonical_scheme, uniform_grid(8),
-                tol=1e-14, tail_ratio=model.stability_ratio, max_terms=3,
+                tol=1e-14, tail_ratio=model.stability_ratio,
             )
 
     def test_growing_terms_raise_model_unstable(self, canonical_scheme):
@@ -365,6 +367,33 @@ class TestSeriesTruncation:
 
         with pytest.raises(ModelUnstable):
             spectral_series(covfn, canonical_scheme, uniform_grid(8), tol=1e-6, tail_ratio=0.5)
+
+    def test_slower_decay_than_stated_ratio_is_refused(self, canonical_scheme):
+        # weighted terms fall by 0.6 per lag against a stated 0.5: summed to
+        # the bound's own stop, at lag 25, the density is 1.4e-6 from its
+        # sum while the bound reads 9.0e-7
+        q = canonical_scheme.q
+
+        def covfn(tau):
+            return 1.2 ** tau * np.ones((q, q))
+
+        with pytest.raises(ModelUnstable, match="slower than the ratio"):
+            spectral_series(covfn, canonical_scheme, uniform_grid(8), tol=1e-6, tail_ratio=0.5)
+
+    def test_tolerance_at_a_lags_own_bound(self, stable_model_factory):
+        # tol equal to the bound the loop computes at lag k: the sum stops at
+        # lag k + 1, which rounding in the cutoff must not put past the last lag
+        rng = np.random.default_rng(83)
+        for _ in range(40):
+            model = stable_model_factory(rng)
+            scheme, r = model.scheme, model.stability_ratio
+            k = int(rng.integers(2, 30))
+            m = (scheme.alpha ** (-scheme.T * scheme.H)) ** k * float(
+                np.abs(covariance_V(model, 0, k)).max()
+            )
+            tol = 2.0 * float(spectral._prefactor(scheme).max()) * m * r / (1.0 - r)
+            ev = spectral_series(markov_covfn(model), scheme, [0.0], tol=tol, tail_ratio=r)
+            assert ev.meta.n_terms == k + 1
 
     def test_zero_tail_ratio_for_white_blocks(self, canonical_scheme):
         # Q(tau) = 0 for tau >= 1: the weighted terms decay with ratio 0
@@ -381,16 +410,6 @@ class TestSeriesTruncation:
         ) / TWO_PI
         assert np.array_equal(ev.matrices, np.broadcast_to(K * Q0, (8, q, q)))
         assert ev.meta.tail_bound == 0.0
-
-    @pytest.mark.parametrize("max_terms", ["a", None, 1.5, math.nan])
-    def test_bad_max_terms_rejected(self, canonical_scheme, max_terms):
-        # read as an integer, not handed to range
-        model = model_from_sbm(canonical_scheme)
-        with pytest.raises(BadIndex):
-            spectral_series(
-                markov_covfn(model), canonical_scheme, uniform_grid(8),
-                tol=1e-8, tail_ratio=model.stability_ratio, max_terms=max_terms,
-            )
 
     @pytest.mark.parametrize(
         "term",
@@ -685,16 +704,24 @@ class TestFrequencyAndRangeGuards:
         tol=st.floats(min_value=1e-12, max_value=1e300),
     )
     def test_series_finite_or_error(self, drawn, omegas, tol):
-        # a small lag budget: a ratio near 1 ends in ToleranceUnreachable
+        # a small lag budget: a ratio near 1 ends in ToleranceUnreachable.  A
+        # Markov covfn keeps its own stability ratio, so the cutoff at the
+        # last lag never refuses it.
         scheme, R0, R1 = drawn
         try:
             model = MarkovCovarianceModel(scheme=scheme, R0=R0, R1=R1)
-            ev = spectral_series(
-                markov_covfn(model), scheme, omegas, tol=tol,
-                tail_ratio=model.stability_ratio, max_terms=2000,
-            )
         except DsiLabError:
             return
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "_MAX_TERMS", 2000)
+            try:
+                ev = spectral_series(
+                    markov_covfn(model), scheme, omegas, tol=tol,
+                    tail_ratio=model.stability_ratio,
+                )
+            except DsiLabError as exc:
+                assert not isinstance(exc, ModelUnstable), exc
+                return
         assert np.isfinite(ev.matrices).all()
 
     @settings(max_examples=75, deadline=None)
