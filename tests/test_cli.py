@@ -442,6 +442,13 @@ sys.exit(dsi_lab.cli.main(sys.argv[1:]))
 """
 
 
+# the bytes of the file argv[1], read up to its first end of file
+READ_CHILD = """
+import sys
+with open(sys.argv[1], "rb") as fh:
+    sys.stdout.buffer.write(fh.read())
+"""
+
 # the console script, dsi_lab.main, on argv
 CONSOLE_CHILD = """
 import sys, dsi_lab
@@ -597,6 +604,49 @@ class TestFreedHeap:
             run_python(CPUS_CHILD, str(cpus), *argv, "--out", str(out), **env)
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+
+# the objects the cyclic collector tracks before and after cli.main on a
+# small table, and the freeze count it leaves
+FROZEN_CHILD = """
+import gc, sys, dsi_lab.cli
+before = len(gc.get_objects())
+dsi_lab.cli.main(["covariance", "--out", sys.argv[1]])
+print(repr((before, len(gc.get_objects()), gc.get_freeze_count())))
+"""
+
+# gc.freeze wrapped by a counter, frozen first by this child when argv[1]
+# says so, then cli.main twice on a small table; prints main's freezes
+FREEZE_CALLS_CHILD = """
+import gc, sys, dsi_lab.cli
+calls = []
+freeze = gc.freeze
+def counted():
+    calls.append(None)
+    freeze()
+gc.freeze = counted
+if sys.argv[1] == "host_froze":
+    freeze()
+for _ in range(2):
+    dsi_lab.cli.main(["covariance", "--out", sys.argv[2]])
+print(len(calls))
+"""
+
+
+class TestFrozenHeap:
+    def test_start_up_heap_is_frozen(self, tmp_path):
+        # about 21,400 tracked objects before, a few hundred after
+        out = run_python(FROZEN_CHILD, str(tmp_path / "c.csv"))
+        before, after, frozen = ast.literal_eval(out.splitlines()[-1])
+        assert after < before / 10
+        assert frozen > 0
+
+    @pytest.mark.parametrize(
+        "host, calls", [("main_only", 1), ("host_froze", 0)], ids=["once", "host_froze_first"]
+    )
+    def test_freezes_once_per_process(self, tmp_path, host, calls):
+        out = run_python(FREEZE_CALLS_CHILD, host, str(tmp_path / "c.csv"))
+        assert int(out.splitlines()[-1]) == calls
 
 
 class TestOutputs:
@@ -911,7 +961,8 @@ class TestParallelWriter:
             set_cpus(mp, cpus)
             mp.setattr(cli, "_CHUNK_VALUES", chunk_values)
             mp.setattr(cli, "_MIN_PART_VALUES", min_part_values)
-            rows = cli._write_blocks(str(out), "key,a,b", keys, prefixes, values)
+            with open(out, "wb") as fh:
+                rows = cli._write_blocks(fh, "key,a,b", keys, prefixes, values)
         assert_no_child()
         assert rows == len(keys) * len(prefixes)
         assert out.read_bytes() == b"key,a,b\n" + template_rows(keys, prefixes, values)
@@ -1066,6 +1117,38 @@ class TestVerify:
         report.parent.mkdir()
         assert run(["verify", "--paths", "4000", "--seed", "11", "--out", str(report)]) == 0
         assert (tmp_path / "x.d" / "report_estimates").is_file()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_estimates_share_a_target_that_is_not_a_regular_file(self, tmp_path):
+        # a device or a FIFO takes both tables, so nothing is made beside it;
+        # neither is opened here
+        fifo = tmp_path / "pipe.csv"
+        os.mkfifo(fifo)
+        assert cli._estimates_path(str(fifo)) == str(fifo)
+        assert cli._estimates_path(os.devnull) == os.devnull
+        report = tmp_path / "report.csv"
+        assert cli._estimates_path(str(report)) == str(tmp_path / "report_estimates.csv")
+        report.write_text("")
+        assert cli._estimates_path(str(report)) == str(tmp_path / "report_estimates.csv")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_fifo_reader_gets_both_tables(self, tmp_path):
+        # the reader stops at its first end of file, so the two tables must
+        # come through one open; a second open would wait for a new reader
+        fifo = tmp_path / "pipe.csv"
+        os.mkfifo(fifo)
+        reader = subprocess.Popen(
+            [sys.executable, "-c", READ_CHILD, str(fifo)], stdout=subprocess.PIPE
+        )
+        try:
+            run_python(MAIN_CHILD, "verify", "--paths", "200", "--out", str(fifo))
+            text = reader.communicate(timeout=60)[0].decode()
+        finally:
+            reader.kill()
+            reader.communicate()
+        assert text.startswith("check_name,status,")
+        assert "\nj_or_uv,lag,estimate," in text
+        assert os.listdir(tmp_path) == ["pipe.csv"]
 
     def test_verify_outputs_byte_identical(self, tmp_path, capsys):
         r1 = tmp_path / "a" / "report.csv"
