@@ -39,8 +39,7 @@ _PUBLIC = {
         "quasi_lamperti",
     ),
     "markov_cov": (
-        "MarkovCovarianceModel", "covariance_V", "covariance_W", "f_tilde",
-        "model_from_sbm",
+        "MarkovCovarianceModel", "covariance_V", "covariance_W", "model_from_sbm",
     ),
     "sbm_sim": (
         "EstimateWithError", "PathEnsemble", "estimate_R",

@@ -116,7 +116,6 @@ class MarkovCovarianceModel:
             "running products ftilde of R1 / R0",
             lambda: np.concatenate([[1.0], np.cumprod(R1 / R0)]),
         )
-        object.__setattr__(self, "_f", R1 / R0)
         object.__setattr__(self, "_prefix", prefix)
 
         ratio = abs(prefix[q]) / growth
@@ -134,11 +133,6 @@ class MarkovCovarianceModel:
         object.__setattr__(self, "_rank_one", rank_one)
 
     @property
-    def f(self) -> np.ndarray:
-        """Per-offset one-step ratios f(j) = R1[j] / R0[j]."""
-        return self._f
-
-    @property
     def ftilde_q(self) -> float:
         """Full-cycle product ftilde(q-1) = f(0) ... f(q-1)."""
         return float(self._prefix[self.scheme.q])
@@ -150,24 +144,6 @@ class MarkovCovarianceModel:
         This is also the per-lag geometric decay ratio of the weighted
         spectral series terms."""
         return self._stability_ratio
-
-
-def f_tilde(model: MarkovCovarianceModel, r) -> np.ndarray:
-    """Running product ftilde(r) = f(0) f(1) ... f(r) of the periodic ratios.
-
-    Defined for every integer r via the closed form
-    ftilde(m*q + v - 1) = ftilde(q-1)**m * ftilde(v-1): the empty product
-    ftilde(-1) is 1, and negative r continue the periodic extension
-    (all ratios are nonzero, so the inverse powers exist).  ``r`` is an
-    integer or an integer array; the result has its shape, a
-    ``numpy.float64`` for an integer.  RangeOverflow is raised when a power
-    or a result leaves double range.
-    """
-    q = model.scheme.q
-    what, (r,) = index_arrays("f_tilde", model.scheme.T, r=r)
-    m, v = np.divmod(r + 1, q)
-    prefix = model._prefix
-    return in_range(what, lambda: powers(prefix[q], m) * prefix[v])
 
 
 def covariance_W(model: MarkovCovarianceModel, kappa, tau) -> np.ndarray:

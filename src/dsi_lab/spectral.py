@@ -43,7 +43,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .core import SamplingScheme, band_factor, in_range, index_arrays, mirror_lower, read_numbers
-from .errors import BadInterval, GridTooCoarse, ModelUnstable, ToleranceUnreachable
+from .errors import BadInterval, GridTooCoarse, ModelUnstable, RangeOverflow
+from .errors import ToleranceUnreachable
 from .markov_cov import MarkovCovarianceModel, covariance_V
 
 _TWO_PI = 2.0 * math.pi
@@ -150,6 +151,9 @@ def spectral_series(
     ModelUnstable
         If ``tail_ratio`` is not one number in [0, 1), or the bound is not
         below tol at the last lag: the weighted terms decay slower than r.
+    RangeOverflow
+        If a term of ``covfn`` is not finite (the message names its lag), or
+        the density leaves double range.
     ToleranceUnreachable
         If the budget of a million lags is exhausted first.
     """
@@ -166,9 +170,13 @@ def spectral_series(
     w = scheme.alpha ** (-scheme.T * scheme.H)
 
     def term(tau: int) -> np.ndarray:
-        Q = read_numbers(f"covfn({tau})", covfn(tau), BadInterval)
+        name = f"covfn({tau})"
+        Q = read_numbers(name, covfn(tau), BadInterval)
         if Q.shape != (q, q):
-            raise BadInterval(f"covfn({tau}) must have shape ({q}, {q}), got {Q.shape}")
+            raise BadInterval(f"{name} must have shape ({q}, {q}), got {Q.shape}")
+        # a NaN term would leave a NaN tail bound that never stops the sum
+        if not np.isfinite(Q).all():
+            raise RangeOverflow(f"{name} is outside double precision range")
         return Q
 
     Q0 = term(0)
@@ -232,8 +240,6 @@ def spectral_markov(model: MarkovCovarianceModel, omegas) -> SpectralEvaluation:
     stability ratio close to 1, raises RangeOverflow.
     """
     scheme = model.scheme
-    if not model.stability_ratio < 1.0:
-        raise ModelUnstable(f"stability ratio {model.stability_ratio!r} must be < 1")
     omegas = _frequencies(omegas)
     A = model._rank_one
     a = model.ftilde_q * scheme.alpha ** (-scheme.T * scheme.H)

@@ -1,11 +1,11 @@
 """The array closed forms against the scalar arithmetic they replaced.
 
-``sample_time``, ``f_tilde``, ``covariance_W`` and ``sbm_covariance_exact``
-take integer arrays and form their powers once per distinct exponent.  The
-reference functions below are the scalar forms as they stood before that,
-one Python float expression per index pair.  Every entry of an array call
-must equal the reference under ``==``, and where a reference entry raises,
-the array call must raise that class; the CSV bytes depend on both.
+``sample_time``, ``covariance_W`` and ``sbm_covariance_exact`` take integer
+arrays and form their powers once per distinct exponent.  The reference
+functions below are the scalar forms as they stood before that, one Python
+float expression per index pair.  Every entry of an array call must equal
+the reference under ``==``, and where a reference entry raises, the array
+call must raise that class; the CSV bytes depend on both.
 """
 
 import math
@@ -19,7 +19,6 @@ from dsi_lab import (
     NegativeKappa,
     RangeOverflow,
     covariance_W,
-    f_tilde,
     model_from_sbm,
     sample_time,
     sbm_covariance_exact,
@@ -49,13 +48,6 @@ def ref_sample_time(scheme, kappa):
 def ref_prefix(model):
     # ftilde(v-1) for v = 0..q as Python floats, as the model forms them
     return np.concatenate([[1.0], np.cumprod(model.R1 / model.R0)]).tolist()
-
-
-def ref_f_tilde(model, r):
-    q = model.scheme.q
-    m, v = divmod(r + 1, q)
-    prefix = ref_prefix(model)
-    return ref_in_range(lambda: prefix[q] ** m * prefix[v])
 
 
 def ref_f_tilde_ratio(model, a, b):
@@ -126,7 +118,6 @@ def test_random_models_for_every_q():
             model = random_stable_model(rng, q)
             scheme = model.scheme
             assert_matches_reference(covariance_W, ref_covariance_W, model, KAPPA, TAU)
-            assert_matches_reference(f_tilde, ref_f_tilde, model, np.arange(-40, 41))
             assert_matches_reference(sample_time, ref_sample_time, scheme, np.arange(-40, 41))
             assert_matches_reference(
                 sbm_covariance_exact, ref_sbm_covariance_exact,
@@ -153,4 +144,3 @@ def test_wide_schemes(scheme, kappa, tau):
     except DsiLabError:
         return
     assert_matches_reference(covariance_W, ref_covariance_W, model, kappas, lags)
-    assert_matches_reference(f_tilde, ref_f_tilde, model, kappa + lags)

@@ -146,6 +146,13 @@ class TestConfigHandling:
         assert run(["covariance", "--config", str(cfg)]) == 2
         assert "duplicate" in capsys.readouterr().err
 
+    def test_line_without_equals_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "bare.cfg"
+        cfg.write_text("H 1.0\n")
+        assert run(["covariance", "--config", str(cfg)]) == 2
+        want = f"error: ConfigError: {cfg}:1: expected key=value, got 'H 1.0'\n"
+        assert capsys.readouterr().err == want
+
     def test_q_mismatch_rejected(self, tmp_path, capsys):
         # q is len(s), so a file cannot set it
         cfg = tmp_path / "q.cfg"

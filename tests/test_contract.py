@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 import dsi_lab
-from dsi_lab import DsiLabError
+from dsi_lab import DsiLabError, RangeOverflow
 
 # a string, None, a ragged list, NaN, inf, a complex number, a complex array,
-# an integer past int64 and double precision, an empty list and a bool
+# an integer past int64 that a double holds exactly, an integer past double
+# range, an empty list and a bool
 HOSTILE = {
     "str": "x",
     "None": None,
@@ -22,6 +23,7 @@ HOSTILE = {
     "complex": 3 + 2j,
     "complex_array": np.array([3 + 2j]),
     "huge": 2 ** 80,
+    "past_double": 10 ** 400,
     "empty": [],
     "bool": True,
 }
@@ -52,7 +54,6 @@ VALID = {
     "MarkovCovarianceModel": dict(scheme=SCHEME, R0=MODEL.R0.tolist(), R1=MODEL.R1.tolist()),
     "covariance_V": dict(model=MODEL, n=1, tau=2),
     "covariance_W": dict(model=MODEL, kappa=2, tau=1),
-    "f_tilde": dict(model=MODEL, r=3),
     "model_from_sbm": dict(scheme=SCHEME),
     "sbm_covariance_exact": dict(scheme=SCHEME, kappa1=1, kappa2=2),
     "simulate_paths": dict(scheme=SCHEME, kappa_range=(0, 3), P=4, seed=0),
@@ -120,3 +121,19 @@ def test_hostile_numeric_argument(name, arg, hostile):
     except DsiLabError:
         return
     assert _all_finite(result)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: dsi_lab.MarkovCovarianceModel(SCHEME, R0=(10 ** 400, 1.0), R1=(0.5, 0.5)),
+        lambda: dsi_lab.covariance_W(MODEL, 10 ** 400, 0),
+        lambda: dsi_lab.SamplingScheme(H=10 ** 400, alpha=2.0, T=1, s=(1.0,)),
+    ],
+    ids=["model_R0", "covariance_W_kappa", "scheme_H"],
+)
+def test_integer_past_double_range_is_range_overflow(call):
+    # README: an integer too large for a double raises RangeOverflow, not
+    # merely some DsiLabError
+    with pytest.raises(RangeOverflow):
+        call()

@@ -336,6 +336,7 @@ def test_star_import_resolves_every_public_name():
         "estimate_Q",
         "doob_factorization",
         "embedded_to_stationary",
+        "f_tilde",
     ],
 )
 def test_removed_names_are_gone(name):

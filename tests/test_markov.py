@@ -17,7 +17,6 @@ from dsi_lab import (
     RangeOverflow,
     covariance_V,
     covariance_W,
-    f_tilde,
     model_from_sbm,
     sbm_covariance_exact,
     validate_scheme,
@@ -37,78 +36,16 @@ def build(drawn) -> MarkovCovarianceModel:
     return MarkovCovarianceModel(scheme=scheme, R0=R0, R1=R1)
 
 
-class TestFTilde:
-    def test_empty_product_is_one(self, canonical_model):
-        assert f_tilde(canonical_model, -1) == 1.0
-
-    def test_direct_product_oracle(self, canonical_model):
-        # closed form vs the literal periodic product f(0) f(1) ... f(r)
-        f = canonical_model.f
-        q = canonical_model.scheme.q
-        prod = 1.0
-        for r in range(0, 26):
-            prod *= f[r % q]
-            assert f_tilde(canonical_model, r) == pytest.approx(prod, rel=1e-12)
-
-    def test_two_offset_root_two_cycle(self):
-        # f = (1, sqrt 2) periodically extended: the running product at
-        # r = 3 is f(0) f(1) f(0) f(1) = 2
-        scheme = validate_scheme(H=1.0, alpha=2.0, T=2, s=(1.0, 2.0))
-        model = MarkovCovarianceModel(
-            scheme=scheme, R0=np.array([1.0, 1.0]), R1=np.array([1.0, SQRT2])
-        )
-        assert model.f == pytest.approx([1.0, SQRT2])
-        assert f_tilde(model, 3) == pytest.approx(2.0, rel=1e-12)
-        assert f_tilde(model, 0) == 1.0
-        assert f_tilde(model, 1) == pytest.approx(SQRT2, rel=1e-15)
-
-    def test_recurrence_all_integers(self, canonical_model):
-        # ftilde(r) = ftilde(r-1) * f(r mod q) continues the product both ways
-        f = canonical_model.f
-        q = canonical_model.scheme.q
-        for r in range(-10, 11):
-            assert f_tilde(canonical_model, r) == pytest.approx(
-                f_tilde(canonical_model, r - 1) * f[r % q], rel=1e-12
-            )
-
-    def test_overflow_raises_range_overflow(self, canonical_model, canonical_scheme):
-        # ftilde(q-1) = sqrt(2), so ftilde(2m - 1) = 2**(m/2)
-        assert f_tilde(canonical_model, 4093) == pytest.approx(2.0 ** 1023.5)
-        for r in (4095, 5000):
-            with pytest.raises(RangeOverflow):
-                f_tilde(canonical_model, r)
-        # a cycle product that underflowed to 0 has no inverse powers
-        tiny = MarkovCovarianceModel(
-            scheme=canonical_scheme, R0=[1.0, 1.0], R1=[1e-300, 1e-300]
-        )
-        assert f_tilde(tiny, 1) == 0.0
-        with pytest.raises(RangeOverflow):
-            f_tilde(tiny, -3)
-        with pytest.raises(RangeOverflow):
-            f_tilde(canonical_model, 2 ** 70)
-        with pytest.raises(BadIndex):
-            f_tilde(canonical_model, 0.5)
-
-    @settings(max_examples=75, deadline=None)
-    @given(drawn=wide_models(), r=wide_indices())
-    def test_finite_or_error(self, drawn, r):
-        try:
-            value = f_tilde(build(drawn), r)
-        except DsiLabError:
-            return
-        assert value.shape == np.shape(r) and np.isfinite(value).all()
-
+class TestModelConstruction:
     def test_reference_model_cycle_product(self):
         for H in (0.5, 0.75, 1.0, 1.25):
             sch = make_scheme(H=H)
             model = model_from_sbm(sch)
             want = sch.scale ** (H - 0.5)
             assert model.ftilde_q == pytest.approx(want, rel=1e-14)
-            for u in range(sch.q):
-                assert f_tilde(model, u - 1) == pytest.approx(1.0, rel=1e-14)
+            # every ratio inside the cycle is 1: only the wrap carries growth
+            assert (model.R1[:-1] / model.R0[:-1] == 1.0).all()
 
-
-class TestModelConstruction:
     def test_reference_summary_values(self, canonical_model):
         assert canonical_model.R0 == pytest.approx([2.0, 3.0])
         assert canonical_model.R1 == pytest.approx([2.0, 3.0 * SQRT2])
@@ -156,6 +93,30 @@ class TestModelConstruction:
         model = MarkovCovarianceModel(scheme=sch, R0=[1.0] * 3, R1=[1e-150] * 3)
         for tau in (0, 1):
             assert np.isfinite(covariance_V(model, 0, tau)).all()
+
+    def test_reference_model_admitted_at_the_offset_edge(self):
+        # the wrap correlation of model_from_sbm is sqrt(s[q-1] / (lam s[0])),
+        # within ulps of 1 when s[0] is 1 and s[q-1] sits just below lam =
+        # alpha**T; admission may refuse such a model only for a band factor
+        # outside double range, never as inadmissible
+        rng = np.random.default_rng(1138)
+        for _ in range(2000):
+            alpha = rng.choice([2.0, 1.5, 10.0, 1.01, math.e, rng.uniform(1.001, 50.0)])
+            T = int(rng.choice([1, 2, 3, 7]))
+            q = int(rng.choice([1, 2, 3, 5]))
+            H = rng.uniform(0.05, 2.5)
+            lam = alpha ** T
+            last = lam
+            for _ in range(int(rng.integers(1, 5))):
+                last = math.nextafter(last, 0.0)
+            first = rng.choice([1.0, math.nextafter(1.0, 2.0)])
+            inner = np.sort(rng.uniform(first, last, max(q - 2, 0))).tolist()
+            s = (last,) if q == 1 else (first, *inner, last)
+            scheme = validate_scheme(H=H, alpha=alpha, T=T, s=s)
+            try:
+                model_from_sbm(scheme)
+            except RangeOverflow as exc:
+                assert str(exc).startswith("model_from_sbm"), exc
 
     @settings(max_examples=100, deadline=None)
     @given(drawn=wide_models())
@@ -431,7 +392,7 @@ class TestCovarianceV:
         for _ in range(8):
             model = random_stable_model(rng)
             q = model.scheme.q
-            pref = np.array([f_tilde(model, v - 1) for v in range(q)])
+            pref = np.concatenate([[1.0], np.cumprod(model.R1 / model.R0)])[:q]
             raw = np.outer(pref, model.R0 / pref)
             for tau in range(1, 5):
                 got = covariance_V(model, 0, tau)

@@ -19,7 +19,6 @@ from dsi_lab import (
     SpectralEvaluation,
     ToleranceUnreachable,
     covariance_V,
-    f_tilde,
     invert_spectrum,
     markov_covfn,
     model_from_sbm,
@@ -75,9 +74,9 @@ def brute_force_density(scheme, omegas, n_lags: int) -> np.ndarray:
 def two_division_density(model, omegas) -> np.ndarray:
     """The closed form as first written, before its upper triangle is
     mirrored: K * (A / (1 - a e) - A^T / (1 - e / a)), with the factor
-    A = C * R0 built from f_tilde."""
+    A = C * R0 built from the running products ftilde(v-1)."""
     sch = model.scheme
-    pref = np.array([f_tilde(model, v - 1) for v in range(sch.q)])
+    pref = np.concatenate([[1.0], np.cumprod(model.R1 / model.R0)])[:sch.q]
     A = np.outer(pref, 1.0 / pref) * model.R0[None, :]
     a = model.ftilde_q * sch.alpha ** (-sch.T * sch.H)
     K = np.outer(sch.s, sch.s) ** (-sch.H) / TWO_PI
@@ -358,6 +357,32 @@ class TestSeriesTruncation:
                 markov_covfn(model), canonical_scheme, uniform_grid(8),
                 tol=1e-14, tail_ratio=model.stability_ratio,
             )
+
+    @pytest.mark.parametrize(
+        "is_bad, value, first",
+        [
+            (lambda tau: True, math.nan, 0),
+            (lambda tau: tau >= 1, math.nan, 1),
+            (lambda tau: tau == 0, math.nan, 0),
+            (lambda tau: tau == 5, math.nan, 5),
+            (lambda tau: tau == 1, math.inf, 1),
+            (lambda tau: tau == 1, -math.inf, 1),
+        ],
+        ids=["nan_everywhere", "nan_from_1", "nan_at_0", "nan_at_5", "inf_at_1", "minus_inf_at_1"],
+    )
+    def test_non_finite_term_refused_at_its_lag(
+        self, canonical_scheme, monkeypatch, is_bad, value, first
+    ):
+        # a NaN tail bound never drops below tol and sets no last lag, so the
+        # term itself is refused, at the first lag that is not finite
+        monkeypatch.setattr(spectral, "_MAX_TERMS", 1_000)
+        covfn = markov_covfn(model_from_sbm(canonical_scheme))
+
+        def hostile(tau):
+            return np.full((2, 2), value) if is_bad(tau) else covfn(tau)
+
+        with pytest.raises(RangeOverflow, match=rf"^covfn\({first}\) "):
+            spectral_series(hostile, canonical_scheme, [0.0], tol=1e-8, tail_ratio=0.5)
 
     def test_growing_terms_raise_model_unstable(self, canonical_scheme):
         q = canonical_scheme.q
