@@ -36,6 +36,7 @@ evaluated at every lag by one inverse FFT of the density.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -138,10 +139,10 @@ def spectral_series(
         m_(tau+1) <= r * m_tau at every lag tau >= 1 (for a Markov model
         this is exactly its stability ratio).  The sum stops at the first
         lag whose bound is below tol, so at the first weighted term that is
-        exactly 0.  A finite bound b_1 not below tol at lag 1 sets the last
-        lag, 3 + floor((log tol - log b_1) / log r): one past the lag by
+        exactly 0, and always by the last lag that the bound b_1 at lag 1
+        sets, 3 + floor((log tol - log b_1) / log r): one past the lag by
         which a covfn that keeps ratio r has its bound below tol, for
-        rounding.
+        rounding (log b_1 sums its factors' logs where b_1 overflows).
 
     Raises
     ------
@@ -155,11 +156,12 @@ def spectral_series(
         If a term of ``covfn`` is not finite (the message names its lag), or
         the density leaves double range.
     ToleranceUnreachable
-        If the budget of a million lags is exhausted first.
+        If ``tol`` is not one finite number > 0, or at lag 1 if the last
+        lag lies past the budget of a million lags.
     """
     tol = read_numbers("tol", tol, ToleranceUnreachable)
-    if tol.ndim or not tol > 0.0:
-        raise ToleranceUnreachable(f"tolerance must be one number > 0, got {tol}")
+    if tol.ndim or not 0.0 < tol < math.inf:
+        raise ToleranceUnreachable(f"tolerance must be one finite number > 0, got {tol}")
     r = read_numbers("tail_ratio", tail_ratio, ModelUnstable)
     if r.ndim or not 0.0 <= r < 1.0:
         raise ModelUnstable(f"tail ratio must be one number in [0, 1), got {r}")
@@ -174,7 +176,7 @@ def spectral_series(
         Q = read_numbers(name, covfn(tau), BadInterval)
         if Q.shape != (q, q):
             raise BadInterval(f"{name} must have shape ({q}, {q}), got {Q.shape}")
-        # a NaN term would leave a NaN tail bound that never stops the sum
+        # a NaN term would leave a NaN tail bound, whose log sets no last lag
         if not np.isfinite(Q).all():
             raise RangeOverflow(f"{name} is outside double precision range")
         return Q
@@ -188,34 +190,32 @@ def spectral_series(
         phase = np.exp(-1j * omegas)  # one-lag phase step
         acc = np.broadcast_to(Q0, (omegas.size, q, q)).astype(complex).copy()
         p = np.ones_like(phase)
-        last = 0
-
-        for tau in range(1, _MAX_TERMS + 1):
+        for tau in itertools.count(1):
             Qt = term(tau)
             wt = w ** tau
             p = p * phase
-            acc += wt * (
-                p[:, None, None] * Qt + np.conj(p)[:, None, None] * Qt.T
-            )
+            acc += wt * (p[:, None, None] * Qt + np.conj(p)[:, None, None] * Qt.T)
             n_terms = tau
 
             m = wt * float(np.abs(Qt).max())
             tail = 2.0 * k_max * m * r / (1.0 - r)
             if tail < tol:
-                break
-            if tau == last:
+                return K[None, :, :] * acc
+            if tau == 1:
+                # logs apart: tol / tail can underflow to 0, tail overflow to inf
+                log_b = math.log(tail) if tail < math.inf else (
+                    math.log(2.0 * k_max * m * r) - math.log(1.0 - r))
+                last = 3 + math.floor((math.log(tol) - log_b) / math.log(r))
+                if last > _MAX_TERMS:
+                    raise ToleranceUnreachable(
+                        f"tail bound {tail:.3e} at lag 1 and ratio r = {r} set the last lag "
+                        f"at {last}, past the budget of {_MAX_TERMS} lags (target {tol:.3e})"
+                    )
+            elif tau == last:
                 raise ModelUnstable(
                     f"weighted series terms decay slower than the ratio r = {r} "
                     f"(tail bound {tail:.3e} at lag {tau}, target {tol:.3e})"
                 )
-            if tau == 1 and math.isfinite(tail):
-                # logs apart: tol / tail can underflow to 0 for a finite tail
-                last = 3 + math.floor((math.log(tol) - math.log(tail)) / math.log(r))
-        else:
-            raise ToleranceUnreachable(
-                f"tail bound still {tail:.3e} after {_MAX_TERMS} lags (target {tol:.3e})"
-            )
-        return K[None, :, :] * acc
 
     matrices = in_range("spectral_series density", density)
     return SpectralEvaluation(

@@ -300,6 +300,18 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: RangeOverflow: ")
         assert not out.exists()
 
+    def test_series_past_lag_budget_exit_two(self, tmp_path, capsys):
+        # stability ratio 0.9999995: verify's series sets its last lag at lag 1,
+        # past the budget of a million lags, and is refused there at once
+        out = tmp_path / "v.csv"
+        assert run(["verify", "--alpha", "1.000001", "--s", "1", "--paths", "200",
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: ToleranceUnreachable: ")
+        assert "set the last lag at 72779598, past the budget" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [

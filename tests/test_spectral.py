@@ -358,6 +358,20 @@ class TestSeriesTruncation:
                 tol=1e-14, tail_ratio=model.stability_ratio,
             )
 
+    def test_near_unit_ratio_refused_at_lag_one(self):
+        # ratio 0.9999995: the bound at lag 1 sets the last lag near 7.3e7,
+        # past the budget, so the sum is refused before it reads lag 2
+        m = model_from_sbm(validate_scheme(H=1.0, alpha=1.000001, T=1, s=(1.0,)))
+        covfn, lags = markov_covfn(m), []
+
+        def counted(tau):
+            lags.append(tau)
+            return covfn(tau)
+
+        with pytest.raises(ToleranceUnreachable, match=r"last lag at \d+, past the budget"):
+            spectral_series(counted, m.scheme, [0.0], tol=1e-10, tail_ratio=m.stability_ratio)
+        assert lags == [0, 1]
+
     @pytest.mark.parametrize(
         "is_bad, value, first",
         [
@@ -698,16 +712,25 @@ class TestFrequencyAndRangeGuards:
             spectral_sbm(sch, [0.0])
 
     def test_series_sum_past_double_range(self, canonical_scheme):
-        # admissible and strictly stable, but the partial sums leave double
-        # range before the lag matrices do
+        # admissible and strictly stable, but the lag matrix at lag 28 leaves
+        # double range, and the bound at lag 1 overflows: summed from its
+        # factors' logs it sets the last lag near 9.1e11, past the budget,
+        # so the sum is refused at lag 1
         model = MarkovCovarianceModel(
             scheme=canonical_scheme, R0=[1e300, 1e300], R1=[1e300, 1.9999999999e300]
         )
-        with pytest.raises(RangeOverflow):
+        covfn, lags = markov_covfn(model), []
+
+        def counted(tau):
+            lags.append(tau)
+            return covfn(tau)
+
+        with pytest.raises(ToleranceUnreachable, match=r"^tail bound inf at lag 1 .* 91200"):
             spectral_series(
-                markov_covfn(model), canonical_scheme, [0.0, 1.0], tol=1e290,
+                counted, canonical_scheme, [0.0, 1.0], tol=1e290,
                 tail_ratio=model.stability_ratio,
             )
+        assert lags == [0, 1]
         # every lag matrix is a double, their weighted sum is not
         with pytest.raises(RangeOverflow):
             spectral_series(
@@ -721,6 +744,14 @@ class TestFrequencyAndRangeGuards:
 
         with pytest.raises(ToleranceUnreachable):
             spectral_series(covfn, canonical_scheme, [0.0], tol=math.nan, tail_ratio=0.5)
+
+    def test_series_infinite_tolerance_refused(self, canonical_scheme):
+        # the last lag takes log tol, which an infinite tolerance has not
+        def covfn(tau):
+            raise AssertionError("an infinite tolerance summed a term")
+
+        with pytest.raises(ToleranceUnreachable, match="one finite number > 0"):
+            spectral_series(covfn, canonical_scheme, [0.0], tol=math.inf, tail_ratio=0.5)
 
     @settings(max_examples=50, deadline=None)
     @given(
