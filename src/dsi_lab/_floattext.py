@@ -14,7 +14,11 @@ It runs in two array stages, with no Python object per value:
   notation, with ``.0`` on an integral value, serves ``0.0001`` up to
   ``9999999999999998.0``; the rest, ``1e-05`` and ``1e+16`` on, is
   ``d.ddde±XX``.  Zero keeps its sign, infinity is ``inf`` and NaN is
-  ``nan``, signed or not.
+  ``nan``, signed or not.  The templates of a block of values, offset to
+  their rows, form a gather index with one entry per output byte, built
+  and used one block of 2,048 values at a time, each block's text written
+  into the one result array.  A whole 16,384-value index would be 3 MB
+  that every first call in a process (or forked worker) faults in.
 
 Every integer array here is ``uint64`` or ``int64``, never both in one
 operation: numpy would promote the mix to float64 and drop bits.  The
@@ -33,6 +37,7 @@ _MASK32 = np.uint64(0xFFFFFFFF)
 _FRACTION_BITS = np.uint64((1 << 52) - 1)
 _SIGN_SHIFT = np.uint64(63)
 _ONE_BITS = np.uint64(0x3FF0000000000000)
+_INF_BITS = np.uint64(0x7FF0000000000000)
 
 # g(k) for k = -_K_MIN ... _K_MAX, the exponents floor(log10(2**q)) of
 # finite doubles negated; row k + _K_MIN holds its four 32-bit limbs
@@ -82,8 +87,14 @@ del _points
 # sign adds _SIGNED
 _INF, _NAN = 1, 2
 _SIGNED = 18 * _LAYOUTS
-_TEMPLATES = np.full((2 * _SIGNED, WIDTH), _NUL, dtype=np.int32)
+_TEMPLATES = np.full((2 * _SIGNED, WIDTH), _NUL, dtype=np.intp)
 _TEMPLATES_FILLED = np.zeros(2 * _SIGNED, dtype=bool)
+
+# the layout gathers the text of _BLOCK values at a time, so its index
+# (8 bytes per output byte) stays a few hundred kilobytes; _ROW_STARTS[i]
+# is where row i of a block starts in the block's flattened alphabet rows
+_BLOCK = 2048
+_ROW_STARTS = np.arange(0, _BLOCK * _ROW, _ROW, dtype=np.intp)[:, None]
 
 
 def _g_row(k: int) -> int:
@@ -143,46 +154,70 @@ def _round_to_odd(g, cp):
     the product exceed 1.  ``g`` is four 32-bit limbs, ``cp`` < 2**59."""
     c0 = cp & _MASK32
     c1 = cp >> np.uint64(32)
-    b = [limb * c0 for limb in g]
-    # column sums of 32-bit positions; each small product g[i] * c1 is
-    # below 2**59, so no sum reaches 2**64
-    acc = (b[0] >> np.uint64(32)) + (b[1] & _MASK32) + g[0] * c1
+    # column sums of 32-bit positions, in place, with one product g[i] * c0
+    # alive at a time; each small product g[i] * c1 is below 2**59, so no
+    # sum reaches 2**64
+    b = g[0] * c0
+    acc = b >> np.uint64(32)
+    b = g[1] * c0
+    acc += b & _MASK32
+    acc += g[0] * c1
     acc >>= np.uint64(32)
-    acc += (b[1] >> np.uint64(32)) + (b[2] & _MASK32) + g[1] * c1
+    acc += b >> np.uint64(32)
+    b = g[2] * c0
+    acc += b & _MASK32
+    acc += g[1] * c1
     w2 = acc & _MASK32
     acc >>= np.uint64(32)
-    acc += (b[2] >> np.uint64(32)) + (b[3] & _MASK32) + g[2] * c1
+    acc += b >> np.uint64(32)
+    b = g[3] * c0
+    acc += b & _MASK32
+    acc += g[2] * c1
     w3 = acc & _MASK32
     acc >>= np.uint64(32)
-    acc += (b[3] >> np.uint64(32)) + g[3] * c1
-    return acc | ((w3 | (w2 >> np.uint64(1))) != 0)
+    acc += b >> np.uint64(32)
+    acc += g[3] * c1
+    w3 |= w2 >> np.uint64(1)
+    return acc | (w3 != 0)
 
 
 def _shortest(magnitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Schubfach: the shortest ``d * 10**e`` that rounds to each positive
     finite double, by its bits; returns ``(d, e)`` as uint64 and int64."""
+    # arrays no longer read are updated in place: each is the size of the
+    # chunk, and the fewer are alive at once, the fewer pages a process's
+    # first call faults in
     exponent_bits = (magnitudes >> np.uint64(52)).astype(np.int64)
-    fraction = magnitudes & _FRACTION_BITS
-    normal = exponent_bits != 0
-    c = fraction | (normal.astype(np.uint64) << np.uint64(52))
-    q = np.maximum(exponent_bits, 1) - 1075
+    c = magnitudes & _FRACTION_BITS
     # at a power of two (not the least normal) the lower neighbour is half
     # as far as the upper one
-    closer = (fraction == 0) & (exponent_bits > 1)
-    k = (q * 1262611 - closer * 524031) >> 22
-    h = (q + ((-k * 1741647) >> 19) + 1).astype(np.uint64)
+    closer = (c == 0) & (exponent_bits > 1)
+    c |= (exponent_bits != 0).astype(np.uint64) << np.uint64(52)
+    q = np.maximum(exponent_bits, 1, out=exponent_bits)
+    q -= 1075
+    k = q * 1262611
+    k -= closer * 524031
+    k >>= 22
+    # h = q + floor(-k log2(10)) + 1 lies in 1 ... 4, so its int64 bits
+    # read as the same uint64
+    q += (k * -1741647) >> 19
+    q += 1
+    h = q.view(np.uint64)
     rows = _K_MIN - k
     _fill_g(rows)
     g = [limbs.take(rows) for limbs in _G]
 
-    cb = c << np.uint64(2)
-    vb = _round_to_odd(g, cb << h)
-    vbl = _round_to_odd(g, (cb - np.uint64(2) + closer.astype(np.uint64)) << h)
-    vbr = _round_to_odd(g, (cb + np.uint64(2)) << h)
     # the interval's ends belong to it when c is even
     odd = c & np.uint64(1)
-    lower = vbl + odd
-    upper = vbr - odd
+    # c's array holds 4 c from here on, and last 4 c + 2 shifted by h
+    c <<= np.uint64(2)
+    vb = _round_to_odd(g, c << h)
+    lower = _round_to_odd(g, (c - np.uint64(2) + closer.astype(np.uint64)) << h)
+    lower += odd
+    c += np.uint64(2)
+    c <<= h
+    upper = _round_to_odd(g, c)
+    upper -= odd
 
     s = vb >> np.uint64(2)
     # one digit fewer: exactly one of s', s' + 1 (times 10**(k + 1)) inside
@@ -218,9 +253,8 @@ def _strip_zeros(d: np.ndarray, e: np.ndarray) -> None:
 
 def _digits(magnitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The digit stage: one alphabet row and one magnitude class per value."""
-    exponent_bits = magnitudes >> np.uint64(52)
     zero = magnitudes == 0
-    special = exponent_bits == np.uint64(0x7FF)
+    special = magnitudes >= _INF_BITS
     # zero, infinity and NaN run through as 1.0 and are classed afterwards
     d, e = _shortest(np.where(zero | special, _ONE_BITS, magnitudes))
     _strip_zeros(d, e)
@@ -244,11 +278,16 @@ def _digits(magnitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _layout(rows: np.ndarray, classes: np.ndarray) -> np.ndarray:
-    """Gather each value's text from its alphabet row by its class template."""
+    """Gather each value's text from its alphabet row by its class template,
+    _BLOCK values at a time."""
     _fill_templates(classes)
-    index = _TEMPLATES.take(classes, axis=0)
-    index += (np.arange(len(classes), dtype=np.int32) * _ROW)[:, None]
-    return rows.reshape(-1).take(index)
+    text = np.empty((len(classes), WIDTH), dtype=np.uint8)
+    for lo in range(0, len(classes), _BLOCK):
+        hi = min(lo + _BLOCK, len(classes))
+        index = _TEMPLATES.take(classes[lo:hi], axis=0)
+        index += _ROW_STARTS[: hi - lo]
+        text[lo:hi] = rows[lo:hi].reshape(-1).take(index)
+    return text
 
 
 def text(values: np.ndarray) -> np.ndarray:

@@ -22,18 +22,18 @@ matrix of key, prefix, comma, value and newline bytes, written with its NUL
 padding dropped.  Each key and each value is converted to text once; a
 float, float keys included, by the array kernel of ``_floattext``, whose
 bytes are those of ``repr``: the shortest text that reads back as the same
-double.  A large table is split into contiguous parts of blocks, one per
-CPU the process may use, and ``_in_parts`` runs them: this process runs
-the first part while one forked worker per other part writes it into a
-pipe, and the pipes are read in part order, so the output bytes do not
-depend on the CPU count.  ``verify``'s parts are its random half (the
-frame round trip and the Monte Carlo estimates), run here, and its
-spectral half (closed forms, series, reference density and inversion),
-whose checks a worker sends back pickled; on one CPU one part runs both
-here, with the same bytes and the same errors.  The simulator
-draws each block of 4096 paths from one counter-based stream keyed by
-(seed, block), so repeated runs of one configuration produce
-byte-identical files.
+double, and a range of integer keys by one digit pass.  A large table is
+split into contiguous parts of blocks, one per CPU the process may use,
+and ``_in_parts`` runs them: this process runs the first part while one
+forked worker per other part writes it into a pipe, and the pipes are
+read in part order, so the output bytes do not depend on the CPU count.
+``verify``'s parts are its random half (the frame round trip and the
+Monte Carlo estimates), run here, and its spectral half (closed forms,
+series, reference density and inversion), whose checks a worker sends
+back pickled; on one CPU one part runs both here, with the same bytes and
+the same errors.  The simulator draws each block of 4096 paths from one
+counter-based stream keyed by (seed, block), so repeated runs of one
+configuration produce byte-identical files.
 
 Fork safety: the ``dsi-lab`` console script (``dsi_lab.main``) starts
 numpy with one BLAS thread unless ``OPENBLAS_NUM_THREADS`` is set, so its
@@ -306,6 +306,29 @@ def _worker_cpus(n: int) -> list[int | None]:
     return (others + [None] * n)[:n]
 
 
+def _key_text(keys, lo: int, hi: int) -> np.ndarray:
+    """The ``str`` of each of ``keys[lo:hi]`` as one NUL-padded uint8 row.
+
+    A ``range`` of keys (path ids, lags, offsets) is written by one digit
+    pass over a uint64 array, last digit first, its digits right-aligned
+    after NUL; this needs step 1 and keys in [0, 2**64), which holds as
+    every caller passes ``range(n)`` with n a count of paths, lags or
+    estimates.  Any other key goes through ``str``.
+    """
+    part = keys[lo:hi]
+    if not isinstance(part, range):
+        text = np.array([str(key).encode() for key in part])
+        return text.view(np.uint8).reshape(len(part), -1)
+    number = np.arange(len(part), dtype=np.uint64) + np.uint64(part.start)
+    ten = np.uint64(10)
+    text = np.zeros((len(part), len(str(part.stop - 1))), dtype=np.uint8)
+    text[:, -1] = number % ten + ord("0")
+    for column in range(text.shape[1] - 2, -1, -1):
+        number //= ten
+        text[:, column] = (number % ten + ord("0")) * (number != 0)
+    return text
+
+
 def _format_blocks(keys, prefixes: list[str], flat, lo: int, hi: int):
     """Yield the encoded rows of blocks lo..hi-1, about _CHUNK_VALUES values at a time.
 
@@ -314,16 +337,15 @@ def _format_blocks(keys, prefixes: list[str], flat, lo: int, hi: int):
     field in a slot as wide as its widest text and padded with NUL, and is
     written with the NUL bytes dropped; no key, prefix or value holds one.
     Values and float64-array keys go through ``_floattext.text``, chunk by
-    chunk; other keys go through ``str``, all at once.  The constant bytes
-    are filled in once per call.
+    chunk; other keys go through ``_key_text``, all at once.  The constant
+    bytes are filled in once per call.
     """
     rows = len(prefixes)
     width = flat.shape[1] // rows
     step = max(1, _CHUNK_VALUES // flat.shape[1])
     float_keys = isinstance(keys, np.ndarray) and keys.dtype == np.float64
     if not float_keys:
-        key_text = np.array([str(key).encode() for key in keys[lo:hi]])
-        key_text = key_text.view(np.uint8).reshape(hi - lo, -1)
+        key_text = _key_text(keys, lo, hi)
     key_end = _floattext.WIDTH if float_keys else key_text.shape[1]
     prefix_text = np.array([prefix.encode() for prefix in prefixes])
     values_start = key_end + prefix_text.itemsize
@@ -425,10 +447,11 @@ def _write_blocks(fh: BinaryIO, header: str, keys, prefixes: list[str], values) 
     """Write a CSV table, one block of rows per key, to ``fh``; return the row count.
 
     Row r of block b is the text of ``keys[b]`` (its ``repr`` if ``keys`` is
-    a float64 array, else its ``str``), then ``prefixes[r]`` (its fields with
-    their leading commas), then ``values[b, r, ...]`` flattened, each value
-    a comma and its ``repr``, the shortest round-trip float.  The rows are
-    laid out in byte matrices by ``_format_blocks``.
+    a float64 array, else its ``str``, see ``_key_text``), then
+    ``prefixes[r]`` (its fields with their leading commas), then
+    ``values[b, r, ...]`` flattened, each value a comma and its ``repr``,
+    the shortest round-trip float.  The rows are laid out in byte matrices
+    by ``_format_blocks``.
 
     The blocks are cut into contiguous parts, one per usable CPU with at
     least _MIN_PART_VALUES values each, so smaller tables stay in-process.

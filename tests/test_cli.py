@@ -546,8 +546,8 @@ ON_GLIBC = os.name == "posix" and hasattr(ctypes.CDLL(None), "gnu_get_libc_versi
 MALLOC_UNSET = dict.fromkeys(cli._MALLOC_ENVIRONMENT)
 POLICY_OFF = {**MALLOC_UNSET, "GLIBC_TUNABLES": "glibc.malloc.perturb=0"}
 
-# cli.main on a small table, then the minor page faults of five more float
-# kernel calls on one chunk of values, after one to fill its tables
+# cli.main on a small table, then the minor page faults of the float
+# kernel's first call on one chunk of values and of five more calls on it
 FAULTS_CHILD = """
 import resource, sys
 import numpy as np
@@ -555,11 +555,13 @@ import dsi_lab.cli
 from dsi_lab import _floattext
 dsi_lab.cli.main(["covariance", "--out", sys.argv[1]])
 values = np.random.default_rng(0).standard_normal(dsi_lab.cli._CHUNK_VALUES)
-_floattext.text(values)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-for _ in range(5):
-    _floattext.text(values)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+faults = []
+for calls in (1, 5):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(calls):
+        _floattext.text(values)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(faults)
 """
 
 # cli.main with a C library whose mallopt records its calls, then the calls
@@ -589,9 +591,14 @@ sys.exit(dsi_lab.cli.main(sys.argv[2:]))
 class TestFreedHeap:
     @pytest.mark.skipif(not ON_GLIBC, reason="needs glibc's malloc")
     def test_chunks_reuse_freed_heap(self, tmp_path):
-        # about 7,000 faults with glibc's dynamic thresholds
         out = run_python(FAULTS_CHILD, str(tmp_path / "c.csv"), **MALLOC_UNSET)
-        assert int(out.splitlines()[-1]) <= 100
+        first, repeats = ast.literal_eval(out.splitlines()[-1])
+        # about 670 faults on a 2-vCPU Linux host, and about 1,640 where the
+        # layout built one gather index for the whole chunk (which take
+        # copied to intp) and the digit stage updated no array in place
+        assert first <= 1100
+        # about 7,000 faults with glibc's dynamic thresholds
+        assert repeats <= 100
 
     @pytest.mark.parametrize(
         "env, calls",
@@ -758,7 +765,7 @@ class TestOutputs:
             # 64 float keys (omega) and 2 q**2 values per key
             (["spectrum", "--omega-points", "64"], 64 + 64 * 8),
             (["spectrum", "--omega-points", "64", *Q3_FLAGS], 64 + 64 * 18),
-            # integer keys (path_id) go through str; 10 values per path
+            # integer keys (path_id) go through cli._key_text; 10 values per path
             (["simulate", "--paths", "200"], 200 * 10),
         ],
         ids=["spectrum", "spectrum_q3", "simulate"],
@@ -917,16 +924,23 @@ EDGE_VALUES = [0.0, -0.0, 1e16, 1e-5, 5e-324, MAX_FLOAT, -MAX_FLOAT]
 
 @st.composite
 def tables(draw):
-    """Keys, row prefixes and a (blocks, rows, width) value array: int or
-    float keys, 1-9 rows with prefixes like the commands' own, widths 1-3.
-    The values are picked from the edge values and a few drawn doubles
-    (drawing each of up to a thousand values would dominate the run).  Some
-    value columns are a copy or a negation of an earlier column."""
+    """Keys, row prefixes and a (blocks, rows, width) value array: a list of
+    int or float keys, or a range of keys, 1-9 rows with prefixes like the
+    commands' own, widths 1-3.  A range starts at 0 or just below 1000, so
+    its digit count may change inside it (9 to 10, 999 to 1000).  The values are picked from the edge values and a
+    few drawn doubles (drawing each of up to a thousand values would
+    dominate the run).  Some value columns are a copy or a negation of an
+    earlier column."""
     rows = draw(st.integers(1, 9))
     width = draw(st.integers(1, 3))
     n_blocks = draw(st.integers(1, 40))
-    key = st.integers(-(2 ** 64), 2 ** 64) if draw(st.booleans()) else st.floats()
-    keys = draw(st.lists(key, min_size=n_blocks, max_size=n_blocks))
+    kind = draw(st.sampled_from(["int", "float", "range"]))
+    if kind == "range":
+        start = draw(st.one_of(st.just(0), st.integers(960, 999)))
+        keys = range(start, start + n_blocks)
+    else:
+        key = st.integers(-(2 ** 64), 2 ** 64) if kind == "int" else st.floats()
+        keys = draw(st.lists(key, min_size=n_blocks, max_size=n_blocks))
     fields = st.lists(st.one_of(st.integers(-5, 99), st.floats(allow_nan=False)), max_size=4)
     prefixes = [
         "".join(f",{field!r}" for field in draw(fields)) for _ in range(rows)
@@ -957,6 +971,12 @@ REPEATS_TABLE = (
     ]),
 )
 
+# range keys whose digit count changes in the middle part of three
+RANGE_TABLES = [
+    (range(start, start + 12), [",a"], np.arange(24.0).reshape(12, 1, 2) / 7)
+    for start in (3, 994)
+]
+
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="CSV workers are forked")
 class TestParallelWriter:
@@ -969,6 +989,8 @@ class TestParallelWriter:
     )
     @example(table=REPEATS_TABLE, chunk_values=4, min_part_values=1, cpus=1)
     @example(table=REPEATS_TABLE, chunk_values=4, min_part_values=1, cpus=3)
+    @example(table=RANGE_TABLES[0], chunk_values=6, min_part_values=1, cpus=3)
+    @example(table=RANGE_TABLES[1], chunk_values=6, min_part_values=1, cpus=3)
     def test_rows_match_the_row_template(
         self, tmp_path_factory, table, chunk_values, min_part_values, cpus
     ):

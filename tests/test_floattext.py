@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsi_lab import _floattext
+from dsi_lab import _floattext, cli
 
 SUBNORMAL_MAX = 2.225073858507201e-308
 NORMAL_MIN = 2.2250738585072014e-308
@@ -100,6 +100,26 @@ def test_random_short_decimals():
 )
 def test_edge_classes(values):
     assert_repr(values)
+
+
+BLOCK = _floattext._BLOCK
+
+
+@pytest.mark.parametrize(
+    "size",
+    [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, cli._CHUNK_VALUES + 1],
+    ids=["one", "block_less_1", "block", "block_plus_1", "two_blocks_plus_1", "chunk_plus_1"],
+)
+def test_layout_block_edges(size):
+    # the layout gathers text one block of values at a time: every value
+    # class, picked at random, lands on either side of each block boundary
+    rng = np.random.default_rng(size)
+    pool = np.concatenate([
+        neighbours([0.0, 5e-324, SUBNORMAL_MAX, NORMAL_MIN, DBL_MAX, 1e16, 1e-4, 1e-5, 0.1]),
+        [math.inf, -math.inf, math.nan, -math.nan],
+        rng.integers(0, 2 ** 64, size=64, dtype=np.uint64).view(np.float64),
+    ])
+    assert_repr(rng.choice(pool, size))
 
 
 @settings(max_examples=500, deadline=None)
